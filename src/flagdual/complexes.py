@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .duality import beta_defect, dual_coords_closed
+from .duality import defect_pairs, dual_coords_closed
 from .errors import MalformedPairing, NotVeryGeneric
 from .prebloch import FormalSum, eval_D
 from .scalars import to_complex
-from .tetra import beta_tetra, edge_coords, face_class, very_generic
+from .tetra import edge_coords, face_class, very_generic
 
 _VERTICES = (1, 2, 3, 4)
 
@@ -343,11 +343,8 @@ def is_consistent(dc: DecoratedComplex, tol=1e-9) -> bool:
 # -- invariants ----------------------------------------------------------------
 
 def beta_complex(dc: DecoratedComplex) -> FormalSum:
-    """Sum of the per-tetrahedron beta sums."""
-    total = FormalSum()
-    for c in dc.coords:
-        total = total + beta_tetra(c)
-    return total
+    """Sum of the per-tetrahedron beta sums, built as one formal sum."""
+    return FormalSum([(z, 1) for c in dc.coords for z in c.minimal()])
 
 
 def volume_complex(dc: DecoratedComplex) -> float:
@@ -382,10 +379,10 @@ def duality_defect(dc: DecoratedComplex) -> FormalSum:
     canonicalize_six, faces matched by a pairing cancel in pairs, so a
     boundaryless consistent complex has canonicalized defect zero.
     """
-    total = FormalSum()
+    pairs = []
     for nu, c in enumerate(dc.coords):
         try:
-            total = total + beta_defect(c)
+            pairs += defect_pairs(c)
         except NotVeryGeneric as exc:
             raise NotVeryGeneric(f"tetrahedron {nu}: {exc}") from exc
-    return total
+    return FormalSum(pairs)

@@ -152,5 +152,10 @@ def beta_defect(c: TetraCoords) -> FormalSum:
     This formal sum is the exact difference beta(T) - beta(T*) in the
     pre-Bloch group; numerically D(beta(T)) - D(beta(T*)) = D(defect).
     """
+    return FormalSum(defect_pairs(c))
+
+
+def defect_pairs(c: TetraCoords) -> list:
+    """The (generator, coefficient) pairs of beta_defect, unmerged."""
     _require_very_generic(c)
-    return FormalSum([(-c.face[key], 1) for key in CANONICAL_FACES])
+    return [(-c.face[key], 1) for key in CANONICAL_FACES]

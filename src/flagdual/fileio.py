@@ -122,7 +122,3 @@ def write_complex(path, dc: DecoratedComplex, keep_flags=False):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")
-
-
-def complex_to_json_str(dc: DecoratedComplex) -> str:
-    return json.dumps(dump_complex(dc), indent=1) + "\n"

@@ -20,15 +20,27 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BackendMismatch, OutOfDomain, Unsupported
 from .gaussian import _gi_norm, exponent_vector
-from .scalars import (GaussRational, exactify, is_exact, nearly_equal,
-                      to_complex)
+from .scalars import GaussRational, exactify, is_exact, to_complex
 
 MERGE_TOL = 1e-12  # relative distance below which float generators merge
+
+# The float merge index is a hash grid.  Partners a, b satisfy
+# |a - b| <= MERGE_TOL (1 + |a| + |b|) <= 2.0001 MERGE_TOL (1 + |a|), so a
+# generator z is filed in the square cell of side 2^e, the least power of
+# two above _CELL_SCALE (1 + |z|), which is more than twice that distance.
+# Its partners then lie in the 2x2 cells nearest to z at that level -- or
+# at the next level, when the two radii, whose ratio stays within
+# 1 +- _LEVEL_SLACK, straddle a power of two.
+_CELL_SCALE = 5 * MERGE_TOL
+_LEVEL_SLACK = 1e-11
+_LOW_MANTISSA = 0.5 / (1 - _LEVEL_SLACK)  # below: probe the level under
+_HIGH_MANTISSA = 1 / (1 + _LEVEL_SLACK)  # at or above: probe the one over
 
 
 def _check_generator(g):
@@ -52,18 +64,82 @@ def _sort_key(g):
     return (g.real, g.imag)
 
 
+def _close(a: complex, b: complex) -> bool:
+    """The float merge predicate: relative distance at most MERGE_TOL."""
+    d = abs(a - b)
+    return d <= MERGE_TOL * (1.0 + abs(a) + abs(b)) and d < math.inf
+
+
+def _merge_groups(values):
+    """Distinct generators of one backend, grouped as they merge.
+
+    Exact generators stay apart.  Float ones group into connected
+    components under _close: each grid cell files its values by
+    component, and a value is compared only with the values of other
+    components in the nearest cells, up to the first match per
+    component; so a tight cluster of near-duplicates costs one
+    comparison per value, and the whole merge about linear time.
+    """
+    if not values or isinstance(values[0], GaussRational):
+        return [[g] for g in values]
+    parent = list(range(len(values)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    grid = {}  # (level, x, y) -> {component root when filed: [index]}
+    floor, ldexp, frexp = math.floor, math.ldexp, math.frexp
+    for i, z in enumerate(values):
+        radius = _CELL_SCALE * (1.0 + abs(z))
+        mantissa, level = frexp(min(radius, sys.float_info.max))
+        if mantissa < _LOW_MANTISSA:
+            levels = (level, level - 1)
+        elif mantissa >= _HIGH_MANTISSA:
+            levels = (level, level + 1)
+        else:
+            levels = (level,)
+        for lv in levels:
+            x, y = ldexp(z.real, -lv), ldexp(z.imag, -lv)
+            cx, cy = floor(x), floor(y)
+            if lv == level:
+                home = (lv, cx, cy)
+            sx = 1 if x - cx >= 0.5 else -1
+            sy = 1 if y - cy >= 0.5 else -1
+            for key in ((lv, cx, cy), (lv, cx + sx, cy), (lv, cx, cy + sy),
+                        (lv, cx + sx, cy + sy)):
+                cell = grid.get(key)
+                if not cell:
+                    continue
+                for root, members in cell.items():
+                    root, mine = find(root), find(i)
+                    if root != mine and any(_close(z, values[j])
+                                            for j in members):
+                        parent[mine] = root  # keep the filed root
+        grid.setdefault(home, {}).setdefault(find(i), []).append(i)
+    groups = {}
+    for i, z in enumerate(values):
+        groups.setdefault(find(i), []).append(z)
+    return list(groups.values())
+
+
 class FormalSum:
     """Integer linear combination of generators in C\\{0,1}.
 
-    Generators are deduplicated on construction: exactly in the exact
-    backend, by relative distance MERGE_TOL in float (independently
-    computed coordinates produce near-duplicate generators).
+    Generators are deduplicated on construction.  Exact generators merge
+    when equal.  Float generators (independently computed coordinates
+    produce near-duplicates) merge by connected components under the
+    relative distance MERGE_TOL, so the result does not depend on the
+    order of the input pairs; each component is represented by its least
+    member in the canonical order, and terms are kept in that order.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, pairs=()):
-        cleaned = []
+        coeffs = {}  # generator -> coefficient; equal generators meet here
         backend = None
         for g, n in pairs:
             if not isinstance(n, int):
@@ -76,21 +152,14 @@ class FormalSum:
                 backend = kind
             elif backend != kind:
                 raise BackendMismatch("mixed exact/float formal sum")
-            cleaned.append((g, n))
-        cleaned.sort(key=lambda t: _sort_key(t[0]))
+            coeffs[g] = coeffs.get(g, 0) + n
         merged = []
-        for g, n in cleaned:
-            if merged and self._same_gen(merged[-1][0], g):
-                merged[-1][1] += n
-            else:
-                merged.append([g, n])
-        self.terms = tuple((g, n) for g, n in merged if n != 0)
-
-    @staticmethod
-    def _same_gen(a, b):
-        if isinstance(a, GaussRational):
-            return a == b
-        return nearly_equal(a, b, MERGE_TOL)
+        for group in _merge_groups(list(coeffs)):
+            n = sum(coeffs[g] for g in group)
+            if n:
+                merged.append((min(group, key=_sort_key), n))
+        merged.sort(key=lambda t: _sort_key(t[0]))
+        self.terms = tuple(merged)
 
     @classmethod
     def single(cls, g, n=1):
@@ -211,8 +280,8 @@ def dilog_D(z) -> float:
         return 0.0
     if z.imag == 0.0 or z == 0 or z == 1:
         return 0.0
-    return (li2(z).imag
-            + cmath.phase(1 - z) * math.log(abs(z)))
+    w = 1 - z  # atan2, unlike cmath.phase, takes a subnormal Im w
+    return li2(z).imag + math.atan2(w.imag, w.real) * math.log(abs(z))
 
 
 def eval_D(s: FormalSum) -> float:
@@ -262,7 +331,8 @@ def _orbit_rep(orbit):
         key = _sort_key
     else:
         def key(v):
-            return (abs(v), cmath.phase(v), v.real)
+            # the phase; cmath.phase raises on a subnormal imaginary part
+            return (abs(v), math.atan2(v.imag, v.real), v.real)
     best = min(orbit, key=lambda t: key(t[0]))
     return best
 
@@ -273,43 +343,33 @@ def canonicalize_six(s: FormalSum) -> FormalSum:
     Sums equal modulo the relations [1/z] = -[z], [1-z] = -[z]
     canonicalize identically.  On the exceptional orbit {-1, 2, 1/2},
     where the two relations force 2[x] = 0, coefficients reduce mod 2.
+    Float representatives fall into classes by the same merge rule as
+    FormalSum generators.
     """
-    classes = []  # [rep, coeff, is_special]
-
-    def locate(rep, exact):
-        for c in classes:
-            if exact and c[0] == rep:
-                return c
-            if not exact and nearly_equal(c[0], rep, MERGE_TOL):
-                return c
-        c = [rep, 0, False]
-        classes.append(c)
-        return c
-
+    classes = {}  # representative -> [coeff, is_special]
     for g, n in s.terms:
         exact = isinstance(g, GaussRational)
         orbit = six_orbit(g)
         rep, rep_sign = _orbit_rep(orbit)
         # a value recurring with both signs marks the exceptional orbit
-        special = False
-        for i in range(6):
-            for j in range(i + 1, 6):
-                same = (orbit[i][0] == orbit[j][0]) if exact else \
-                    nearly_equal(orbit[i][0], orbit[j][0], MERGE_TOL)
-                if same and orbit[i][1] != orbit[j][1]:
-                    special = True
-        cls = locate(rep, exact)
+        special = any(
+            orbit[i][1] != orbit[j][1]
+            and (orbit[i][0] == orbit[j][0] if exact
+                 else _close(orbit[i][0], orbit[j][0]))
+            for i in range(6) for j in range(i + 1, 6))
+        cls = classes.setdefault(rep, [0, False])
         # [g] occupies the +1 slot of its own orbit, so [g] = rep_sign [rep];
         # in the exceptional orbit the sign is immaterial modulo 2
-        cls[1] += n if special else n * rep_sign
-        cls[2] = cls[2] or special
+        cls[0] += n if special else n * rep_sign
+        cls[1] = cls[1] or special
 
     out = []
-    for rep, coeff, special in classes:
-        if special:
+    for group in _merge_groups(list(classes)):
+        coeff = sum(classes[rep][0] for rep in group)
+        if any(classes[rep][1] for rep in group):
             coeff %= 2
         if coeff:
-            out.append((rep, coeff))
+            out.append((min(group, key=_sort_key), coeff))
     return FormalSum(out)
 
 

@@ -174,9 +174,6 @@ class Mat3:
                 cof[j][i] = (a - b) / d  # transpose of the cofactor matrix
         return Mat3(cof)
 
-    def scaled(self, s) -> "Mat3":
-        return Mat3(tuple(tuple(e * s for e in r) for r in self.rows))
-
     def __repr__(self):
         return f"Mat3({self.rows!r})"
 

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 from scipy.integrate import quad
 
-from flagdual import (FlagTuple, GaussRational, Mat3, ProjPoint1,
+from flagdual import (FlagTuple, GaussRational, Mat3, ProjPoint1, bundled,
                       complete_from_minimal, reconstruct, very_generic)
+from flagdual.complexes import FacePairing, IdealTriangulation
 
 
 # -- random exact data ----------------------------------------------------------
@@ -158,3 +159,20 @@ def classical_edge_products(triangulation, shape):
             prod *= parameter(i, j)
         out.append(prod)
     return out
+
+
+# -- scalable complexes ------------------------------------------------------
+
+def cyclic_cover(n, voltages) -> IdealTriangulation:
+    """n-fold voltage cover of the figure-eight triangulation.
+
+    Copy s of base tetrahedron t is tetrahedron 2s + t; copy s of face
+    pairing p glues copy s of its first side to copy s + voltages[p]
+    (mod n) of its second side.  Lifting a consistent decoration of the
+    base tetrahedra gives a consistent decoration with n times the volume.
+    """
+    base = bundled.figure_eight_triangulation()
+    return IdealTriangulation(2 * n, [
+        FacePairing(2 * s + p.tet_a, p.face_a,
+                    2 * ((s + v) % n) + p.tet_b, p.face_b)
+        for p, v in zip(base.pairings, voltages) for s in range(n)])

@@ -16,10 +16,11 @@ from flagdual.bundled import (GEOMETRIC_SHAPE, cr_complex,
                               figure_eight_triangulation, hyperbolic_complex,
                               single_tetra_triangulation,
                               twisted_double_complex)
+from flagdual import prebloch
 from flagdual.duality import beta_defect
 from flagdual.errors import MalformedPairing, NotVeryGeneric
 
-from helpers import classical_edge_products, rand_exact_tetra
+from helpers import classical_edge_products, cyclic_cover, rand_exact_tetra
 
 FIG8_VOLUME = 2.029883212819307
 
@@ -271,3 +272,45 @@ def test_hyperbolic_complex_real_volume_zero():
     dual = dualize(dc)
     for a, b in zip(dc.coords, dual.coords):
         assert a.same_as(b)
+
+
+def _count_merge_tests(monkeypatch):
+    calls = [0]
+    close = prebloch._close
+
+    def counting(a, b):
+        calls[0] += 1
+        return close(a, b)
+
+    monkeypatch.setattr(prebloch, "_close", counting)
+    return calls
+
+
+def test_lifted_cover_invariants_cost_linear_merge_tests(monkeypatch):
+    n = 128
+    tri = cyclic_cover(n, (1, 0, 0, 0))
+    assert tri.n == 256 and tri.is_closed()
+    regular = complete_from_minimal((GEOMETRIC_SHAPE,) * 4)
+    dc = DecoratedComplex(tri, Decoration([regular] * tri.n))
+    calls = _count_merge_tests(monkeypatch)
+    assert abs(volume_complex(dc) - n * FIG8_VOLUME) <= 1e-9 * n
+    assert canonicalize_six(duality_defect(dc)).is_zero()
+    generators = 8 * tri.n  # four in beta, four in the defect, per tetrahedron
+    assert calls[0] <= 5 * generators
+
+    # distinct generators, each with a near-duplicate from a twin copy
+    rng = random.Random(92)
+    coords = []
+    for _ in range(n):
+        m = tuple(GEOMETRIC_SHAPE * (1 + complex(rng.uniform(-1e-3, 1e-3),
+                                                 rng.uniform(-1e-3, 1e-3)))
+                  for _ in range(4))
+        twin = tuple(z * (1 + 1e-15) for z in m)
+        coords += [complete_from_minimal(m), complete_from_minimal(twin)]
+    jittered = DecoratedComplex(tri, Decoration(coords))
+    calls[0] = 0
+    beta = beta_complex(jittered)
+    assert len(beta) == 4 * n
+    canonicalize_six(duality_defect(jittered))
+    # a linear scan per class, as in pairwise merging, would need ~n^2
+    assert calls[0] <= 5 * generators

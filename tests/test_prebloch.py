@@ -5,11 +5,15 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flagdual import (FormalSum, GaussRational, canonicalize_six, delta_exact,
                       dilog_D, eval_D, five_term, six_orbit)
 from flagdual.errors import BackendMismatch, OutOfDomain, Unsupported
+from flagdual.prebloch import MERGE_TOL
 
 from helpers import dilog_quadrature, rand_gauss_rational
 
@@ -39,6 +43,39 @@ def test_dilog_series_matches_quadrature_on_100_points():
         checked += 1
 
 
+def _dilog_mpmath(z: complex) -> float:
+    """D(z) = Im Li_2(z) + arg(1-z) log|z| through mpmath's polylog."""
+    with mpmath.workdps(30):
+        w = mpmath.mpc(z)
+        return float(mpmath.im(mpmath.polylog(2, w))
+                     + mpmath.arg(1 - w) * mpmath.log(abs(w)))
+
+
+def test_dilog_matches_mpmath_polylog():
+    rng = random.Random(90)
+    regions = {"inside": 0, "outside": 0, "right": 0}
+    checked = 0
+    while checked < 300:
+        z = cmath.rect(math.exp(rng.uniform(-3, 3)),
+                       rng.uniform(-math.pi, math.pi))
+        if abs(z - 1) < 0.05 or abs(z.imag) < 1e-3:
+            continue
+        regions["outside" if abs(z) > 1 else "inside"] += 1
+        regions["right"] += z.real > 0.5
+        assert abs(dilog_D(z) - _dilog_mpmath(z)) < 1e-12
+        checked += 1
+    assert min(regions.values()) > 30
+
+
+def test_eval_d_matches_mpmath_polylog():
+    rng = random.Random(91)
+    for _ in range(20):
+        pairs = [(complex(rng.uniform(-3, 3), rng.uniform(0.05, 3)),
+                  rng.choice((-2, -1, 1, 3))) for _ in range(12)]
+        oracle = math.fsum(n * _dilog_mpmath(g) for g, n in pairs)
+        assert abs(eval_D(FormalSum(pairs)) - oracle) < 1e-11
+
+
 def test_dilog_symmetries():
     rng = random.Random(82)
     for _ in range(1000):
@@ -49,6 +86,12 @@ def test_dilog_symmetries():
         assert abs(dilog_D(z.conjugate()) + d) <= 1e-12 * (1 + abs(d))
         assert abs(dilog_D(1 / z) + d) <= 1e-12 * (1 + abs(d))
         assert abs(dilog_D(1 - z) + d) <= 1e-12 * (1 + abs(d))
+
+
+def test_subnormal_imaginary_parts_are_accepted():
+    assert abs(dilog_D(0.3 + 5e-324j)) < 1e-300
+    assert dilog_D(-2 + 5e-324j) == 0.0
+    assert len(canonicalize_six(FormalSum.single(3 - 5e-324j))) == 1
 
 
 def test_dilog_extends_by_zero():
@@ -146,6 +189,137 @@ def test_formal_sum_float_merging():
     assert s.is_zero()
     t = FormalSum([(0.5 + 0.5j, 1), (0.5 + 0.51j, -1)])
     assert len(t) == 2
+
+
+def test_formal_sum_float_merge_ignores_input_order():
+    # the two near-equal generators cancel although another generator
+    # sorts between them
+    s = FormalSum([(1 + 5j, 1), (1 + 1e-15 - 3j, 1), (1 + 2e-15 + 5j, -1)])
+    assert s.terms == ((1 + 1e-15 - 3j, 1),)
+
+
+def test_formal_sum_float_merge_chains_and_picks_least_member():
+    step = 0.6 * MERGE_TOL * 3  # close to its neighbours, not to theirs
+    chain = [(0.5 + 0.5j + k * step, 1) for k in range(4)]
+    for pairs in (chain, chain[::-1], chain[1::2] + chain[::2]):
+        s = FormalSum(pairs)
+        assert s.terms == ((0.5 + 0.5j, 4),)
+
+
+def _merge_by_all_pairs(pairs):
+    """Reference float merge: union-find over every pair of generators."""
+    coeffs = {}
+    for g, n in pairs:
+        coeffs[complex(g)] = coeffs.get(complex(g), 0) + n
+    values = list(coeffs)
+    root = list(range(len(values)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, a in enumerate(values):
+        for j in range(i):
+            b = values[j]
+            if abs(a - b) <= MERGE_TOL * (1 + abs(a) + abs(b)):
+                root[find(i)] = find(j)
+    groups = {}
+    for i, g in enumerate(values):
+        groups.setdefault(find(i), []).append(g)
+    terms = [(min(grp, key=lambda g: (g.real, g.imag)),
+              sum(coeffs[g] for g in grp)) for grp in groups.values()]
+    return tuple(sorted(((g, n) for g, n in terms if n),
+                        key=lambda t: (t[0].real, t[0].imag)))
+
+
+def test_float_merge_matches_all_pairs_reference():
+    # clusters about as wide as the merge distance, centred where the
+    # grid changes level (5 MERGE_TOL (1 + |c|) = 2^k) and elsewhere
+    rng = random.Random(93)
+    moduli = [2.0 ** k / (5 * MERGE_TOL) - 1 for k in (-37, -36, -35, -30)]
+    moduli += [rng.uniform(0.01, 50) for _ in range(6)]
+    for modulus in moduli:
+        for _ in range(20):
+            centre = cmath.rect(modulus, rng.uniform(-math.pi, math.pi))
+            spread = rng.choice((1, 3, 10)) * MERGE_TOL * (1 + modulus)
+            pairs = [(centre + cmath.rect(rng.uniform(0, spread),
+                                          rng.uniform(-math.pi, math.pi)),
+                      rng.choice((-1, 1, 2)))
+                     for _ in range(rng.randint(2, 25))]
+            assert FormalSum(pairs).terms == _merge_by_all_pairs(pairs)
+
+
+# generators whose six orbits are well separated, inside the region where
+# a relative jitter below MERGE_TOL/10 moves every orbit value by less
+# than MERGE_TOL/4
+def _orbit_well_separated(z):
+    vals = [v for v, _ in six_orbit(z)]
+    if min(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:]) \
+            < 1e-6:
+        return False
+    smallest = sorted(abs(v) for v in vals)
+    return smallest[1] - smallest[0] > 1e-6
+
+
+_FLOAT_GENS = st.builds(
+    complex, st.floats(-2, 2), st.floats(-2, 2)).filter(
+    lambda z: 0.5 <= abs(z) <= 2 and abs(1 - z) >= 1
+    and _orbit_well_separated(z))
+
+_EXACT_GENS = st.builds(
+    GaussRational,
+    st.fractions(-3, 3, max_denominator=5),
+    st.fractions(-3, 3, max_denominator=5)).filter(lambda q: q not in (0, 1))
+
+
+def _pairs(gens):
+    """(base generators, pairs drawing on them with repeats)."""
+    return st.lists(gens, min_size=1, max_size=6).flatmap(
+        lambda base: st.tuples(st.just(base), st.lists(
+            st.tuples(st.sampled_from(base),
+                      st.integers(-3, 3).filter(bool)),
+            min_size=1, max_size=20)))
+
+
+def _orbits_apart_or_equal(base):
+    vals = [v for g in base for v, _ in six_orbit(g)]
+    return all(abs(a - b) < 1e-14 or abs(a - b) > 1e-6
+               for i, a in enumerate(vals) for b in vals[i + 1:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs(_FLOAT_GENS), st.randoms(use_true_random=False))
+def test_float_merge_ignores_order_and_jitter(drawn, rng):
+    base, pairs = drawn
+    assume(_orbits_apart_or_equal(base))
+    s = FormalSum(pairs)
+    shuffled = rng.sample(pairs, len(pairs))
+    assert FormalSum(shuffled).terms == s.terms
+    jittered = [(g * (1 + cmath.rect(rng.uniform(0, MERGE_TOL / 10),
+                                     rng.uniform(-math.pi, math.pi))), n)
+                for g, n in shuffled]
+    t = FormalSum(jittered)
+    assert len(t) == len(s) and t == s
+    c = canonicalize_six(s)
+    assert canonicalize_six(FormalSum(shuffled)).terms == c.terms
+    ct = canonicalize_six(t)
+    assert len(ct) == len(c) and ct == c
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs(_EXACT_GENS), st.randoms(use_true_random=False))
+def test_exact_merge_ignores_order(drawn, rng):
+    _, pairs = drawn
+    s = FormalSum(pairs)
+    shuffled = rng.sample(pairs, len(pairs))
+    assert FormalSum(shuffled).terms == s.terms
+    totals = {}
+    for g, n in pairs:
+        totals[g] = totals.get(g, 0) + n
+    assert dict(s.terms) == {g: n for g, n in totals.items() if n}
+    assert canonicalize_six(FormalSum(shuffled)).terms == \
+        canonicalize_six(s).terms
 
 
 def test_formal_sum_json_round_trip():
