@@ -4,19 +4,26 @@ Unknowns are the 4N minimal coordinates (z12, z21, z34, z43) per
 tetrahedron, as one complex vector.  Every other coordinate is one of
 the two vertex-relation images of a single minimal coordinate, so each
 residual is a product of factors, each factor depending on exactly one
-unknown; Jacobians are therefore assembled analytically from logarithmic
-derivatives.  Residuals are multiplicative (product minus one), which
-avoids logarithm branch tracking entirely.
+unknown.  The triangulation fixes which factors make up which residual;
+that factor table is stored once as numpy arrays, and residuals and the
+sparse Jacobian (from logarithmic derivatives) are evaluated from it in
+vectorized form.  Residuals are multiplicative (product minus one),
+which avoids logarithm branch tracking entirely.
 
-The linear step uses a least-squares solve: the consistency variety is
-typically positive-dimensional, so the Jacobian is rank-deficient at
-solutions and the minimum-norm Gauss-Newton step converges to a nearby
-point of the variety rather than to one distinguished solution.
+The linear step is the minimum-norm least-squares solution: the
+consistency variety is typically positive-dimensional, so the Jacobian
+is rank-deficient at solutions and the minimum-norm Gauss-Newton step
+converges to a nearby point of the variety rather than to one
+distinguished solution.  Up to DENSE_MAX_UNKNOWNS unknowns the step is
+a dense SVD solve (``numpy.linalg.lstsq``); above that, a matrix-free
+CGLS iteration on the sparse Jacobian, started from zero so that its
+iterates stay in the row space of the Jacobian and converge to the same
+minimum-norm step (Paige & Saunders, ACM TOMS 8, 1982).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,16 +35,26 @@ from .tetra import (CANONICAL_FACES, EVEN_COMPLETION, FACE_OPPOSITE,
 DOMAIN_RADIUS = 1e-8  # forbidden disks around 0 and 1
 ARMIJO_C1 = 1e-4
 
+# Largest unknown count solved by the dense SVD step; measured crossover
+# against CGLS on perturbed cyclic covers (see CHANGES.md).
+DENSE_MAX_UNKNOWNS = 64
+# CGLS stopping rule: relative size of the normal-equation residual, and
+# an iteration budget per unknown (see cgls)
+CGLS_RTOL = 1e-12
+CGLS_MAX_ITER_FACTOR = 4
+
+# factor tags: the three vertex-relation shapes of a minimal coordinate m
+ID, C1, C2 = 0, 1, 2  # m, 1/(1-m), 1-1/m
+
 
 def _build_edge_factor_table():
-    """(i, j) -> (tag, local minimal index); tags are the three vertex
-    relation shapes: m itself, 1/(1-m), 1-1/m."""
+    """(i, j) -> (tag, local minimal index)."""
     table = {}
     for idx, (i, j) in enumerate(MINIMAL_EDGES):
         k, l = EVEN_COMPLETION[(i, j)]
-        table[(i, j)] = ("id", idx)
-        table[(i, k)] = ("c1", idx)
-        table[(i, l)] = ("c2", idx)
+        table[(i, j)] = (ID, idx)
+        table[(i, k)] = (C1, idx)
+        table[(i, l)] = (C2, idx)
     return table
 
 
@@ -49,16 +66,35 @@ FACE_FACTORS = {
 }
 
 
-def _factor(tag, m):
-    """Value and derivative of one coordinate as a function of its
-    minimal parent."""
-    if tag == "id":
-        return m, 1.0 + 0j
-    if tag == "c1":
-        v = 1.0 / (1.0 - m)
-        return v, v * v
-    v = 1.0 - 1.0 / m
-    return v, 1.0 / (m * m)
+class CooJacobian:
+    """Sparse complex matrix as COO triplets: one entry per (row, column),
+    sorted by row and then column, with an entry in every row and every
+    column."""
+
+    def __init__(self, shape, rows, cols, data):
+        self.shape = shape
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+        self._row_start = np.flatnonzero(np.diff(rows, prepend=-1))
+        by_col = np.argsort(cols, kind="stable")
+        self._col_start = np.flatnonzero(np.diff(cols[by_col], prepend=-1))
+        self._rows_by_col = rows[by_col]
+        self._conj_by_col = np.conj(data[by_col])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        out[self.rows, self.cols] = self.data
+        return out
+
+    def matvec(self, x):
+        """J x."""
+        return np.add.reduceat(self.data * x[self.cols], self._row_start)
+
+    def rmatvec(self, y):
+        """J^H y."""
+        return np.add.reduceat(self._conj_by_col * y[self._rows_by_col],
+                               self._col_start)
 
 
 class ConsistencySystem:
@@ -66,10 +102,10 @@ class ConsistencySystem:
 
     def __init__(self, triangulation):
         self.triangulation = triangulation
-        self.n_unknowns = 4 * triangulation.n
-        # each residual: (constant, [(column, tag), ...], label)
+        self.n_unknowns = n = 4 * triangulation.n
+        # each residual: (constant, [(column, tag, sign), ...], label)
         self.products = []
-        for n, p in enumerate(triangulation.pairings):
+        for k, p in enumerate(triangulation.pairings):
             factors = []
             const = 1.0
             for tet, triple in ((p.tet_a, p.face_a),
@@ -80,8 +116,8 @@ class ConsistencySystem:
                 const *= -1.0
                 for tag, idx in FACE_FACTORS[canon]:
                     factors.append((4 * tet + idx, tag, sign))
-            self.products.append((const, factors, f"face pairing {n}"))
-        for n, cls in enumerate(triangulation.edge_classes()):
+            self.products.append((const, factors, f"face pairing {k}"))
+        for k, cls in enumerate(triangulation.edge_classes()):
             for direction, members in (("fwd", cls.members),
                                        ("rev", cls.reverse_members)):
                 factors = []
@@ -89,28 +125,82 @@ class ConsistencySystem:
                     tag, idx = EDGE_FACTOR[(i, j)]
                     factors.append((4 * tet + idx, tag, 1))
                 self.products.append(
-                    (1.0, factors, f"edge class {n} {direction}"))
+                    (1.0, factors, f"edge class {k} {direction}"))
+
+        # the factor table, sorted by row and then column; every row has
+        # at least one factor (a face has six, an edge class a member)
+        table = np.array([(row, col, tag, sign)
+                          for row, (_, factors, _) in enumerate(self.products)
+                          for col, tag, sign in factors],
+                         dtype=np.intp).reshape(-1, 4)
+        row, col, tag, sign = table[np.lexsort((table[:, 1],
+                                                table[:, 0]))].T
+        self._const = np.array([c for c, _, _ in self.products], dtype=complex)
+        self._row_start = np.flatnonzero(np.diff(row, prepend=-1))
+        # index into the shape table [m, 1/(1-m), 1-1/m] of all unknowns,
+        # shifted by 3n for a factor entering as a reciprocal
+        self._shape_index = tag * n + col
+        self._value_index = self._shape_index + 3 * n * (sign < 0)
+        self._sign = sign.astype(float)
+        # Jacobian entries: repeated (row, column) factors are summed.
+        # Every column has an entry: each minimal coordinate's three
+        # shapes lie on edges, and every edge is in an edge class.
+        self._entry_start = np.flatnonzero(
+            np.diff(row, prepend=-1) | np.diff(col, prepend=-1))
+        self._entry_row = row[self._entry_start]
+        self._entry_col = col[self._entry_start]
 
     def residuals_and_jacobian(self, m, want_jacobian=True):
-        r = np.zeros(len(self.products), dtype=complex)
-        jac = np.zeros((len(self.products), self.n_unknowns), dtype=complex) \
-            if want_jacobian else None
-        for row, (const, factors, _) in enumerate(self.products):
-            prod = complex(const)
-            dlog = {}
-            for col, tag, sign in factors:
-                v, dv = _factor(tag, m[col])
-                prod *= v if sign == 1 else 1.0 / v
-                if want_jacobian:
-                    dlog[col] = dlog.get(col, 0.0) + sign * dv / v
-            r[row] = prod - 1.0
-            if want_jacobian:
-                for col, s in dlog.items():
-                    jac[row, col] = prod * s
-        return r, jac
+        m = np.asarray(m, dtype=complex)
+        n = self.n_unknowns
+        inv = 1.0 / m
+        shapes = np.concatenate((m, 1.0 / (1.0 - m), 1.0 - inv))
+        values = np.concatenate((shapes, 1.0 / shapes))[self._value_index]
+        prod = self._const * np.multiply.reduceat(values, self._row_start)
+        if not want_jacobian:
+            return prod - 1.0, None
+        # logarithmic derivatives of the shapes: 1/m, 1/(1-m), 1/(m(m-1))
+        dlog = np.concatenate((inv, shapes[n:2 * n], inv / (m - 1.0)))
+        terms = self._sign * dlog[self._shape_index]
+        data = np.add.reduceat(terms, self._entry_start) \
+            * prod[self._entry_row]
+        return prod - 1.0, CooJacobian((len(self.products), n),
+                                       self._entry_row, self._entry_col, data)
 
     def residuals(self, m):
         return self.residuals_and_jacobian(m, want_jacobian=False)[0]
+
+
+def cgls(jac, b):
+    """Minimum-norm least-squares solution of ``jac x = b`` by CGLS.
+
+    Started from x = 0, every iterate lies in the row space of ``jac``,
+    so on a rank-deficient ``jac`` the limit is the minimum-norm
+    solution.  Only ``jac.matvec`` and ``jac.rmatvec`` are used.  Stops
+    when |J^H s| <= CGLS_RTOL |J^H b| for the current residual
+    s = b - J x, or after CGLS_MAX_ITER_FACTOR iterations per unknown.
+    Returns (x, iterations).
+    """
+    max_iter = CGLS_MAX_ITER_FACTOR * jac.shape[1]
+    x = np.zeros(jac.shape[1], dtype=complex)
+    s = np.array(b, dtype=complex)
+    p = z = jac.rmatvec(s)
+    gamma = float(np.vdot(z, z).real)
+    stop = gamma * CGLS_RTOL ** 2
+    it = 0
+    while gamma > stop and it < max_iter:
+        q = jac.matvec(p)
+        qq = float(np.vdot(q, q).real)
+        if qq == 0.0:
+            break
+        alpha = gamma / qq
+        x += alpha * p
+        s -= alpha * q
+        z = jac.rmatvec(s)
+        gamma, previous = float(np.vdot(z, z).real), gamma
+        p = z + (gamma / previous) * p
+        it += 1
+    return x, it
 
 
 def minimal_vector(dc: DecoratedComplex) -> np.ndarray:
@@ -131,11 +221,37 @@ def _domain_distance(m) -> float:
         if len(m) else np.inf
 
 
+@dataclass(frozen=True)
+class IterationRecord:
+    """One Gauss-Newton iteration.  ``max_residual`` and ``residual_sq``
+    (max |r| and |r|^2) are taken after the accepted step; ``rank`` is
+    set by the dense step, ``inner_iterations`` by the matrix-free one."""
+
+    max_residual: float
+    residual_sq: float
+    step_norm: float
+    alpha: float
+    halvings: int
+    rank: int | None = None
+    inner_iterations: int | None = None
+
+
 @dataclass
 class SolveResult:
     decorated: DecoratedComplex
     iterations: int
     residual: float
+    history: list[IterationRecord] = field(default_factory=list)
+
+
+def _gauss_newton_step(system: ConsistencySystem, jac, r):
+    """Minimum-norm solution of jac @ step = -r: (step, rank, inner
+    iterations), the last two None for the method not used."""
+    if system.n_unknowns <= DENSE_MAX_UNKNOWNS:
+        step, _, rank, _ = np.linalg.lstsq(jac.toarray(), -r, rcond=None)
+        return step, int(rank), None
+    step, inner = cgls(jac, -r)
+    return step, None, inner
 
 
 def solve_consistency(dc: DecoratedComplex, tol=1e-12, max_iter=100,
@@ -164,26 +280,22 @@ def solve_consistency(dc: DecoratedComplex, tol=1e-12, max_iter=100,
     if residual < tol:
         return SolveResult(dc, 0, residual)
 
+    history = []
     for it in range(1, max_iter + 1):
         r, jac = system.residuals_and_jacobian(m)
         f0 = float(np.vdot(r, r).real)
-        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        step, rank, inner = _gauss_newton_step(system, jac, r)
         alpha = 1.0
-        accepted = False
-        for _ in range(max_halvings + 1):
+        for halvings in range(max_halvings + 1):
             trial = m + alpha * step
-            if _domain_distance(trial) <= DOMAIN_RADIUS:
-                alpha *= 0.5
-                continue
-            r_new = system.residuals(trial)
-            f_new = float(np.vdot(r_new, r_new).real)
-            if f_new <= (1.0 - ARMIJO_C1 * alpha) * f0:
-                m = trial
-                accepted = True
-                break
+            if _domain_distance(trial) > DOMAIN_RADIUS:
+                r_new = system.residuals(trial)
+                f_new = float(np.vdot(r_new, r_new).real)
+                if f_new <= (1.0 - ARMIJO_C1 * alpha) * f0:
+                    break
             alpha *= 0.5
-        if not accepted:
-            residual = float(np.max(np.abs(system.residuals(m))))
+        else:
+            residual = float(np.max(np.abs(r)))
             if _domain_distance(m + step) <= DOMAIN_RADIUS:
                 raise LeftDomain(
                     "Newton step driven into the disks around 0 or 1 "
@@ -191,9 +303,14 @@ def solve_consistency(dc: DecoratedComplex, tol=1e-12, max_iter=100,
             raise SolverDiverged(
                 f"no Armijo step accepted after {max_halvings} halvings "
                 f"(residual {residual:.3e})", residual)
-        residual = float(np.max(np.abs(system.residuals(m))))
+        m = trial
+        residual = float(np.max(np.abs(r_new)))
+        history.append(IterationRecord(
+            residual, f_new, float(np.linalg.norm(step)), alpha, halvings,
+            rank, inner))
         if residual < tol:
-            return SolveResult(complex_from_vector(dc, m), it, residual)
+            return SolveResult(complex_from_vector(dc, m), it, residual,
+                               history)
     raise SolverDiverged(
         f"no convergence within {max_iter} iterations "
         f"(residual {residual:.3e})", residual)

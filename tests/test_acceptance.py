@@ -200,7 +200,8 @@ def test_criterion_09_solver_convergence_and_jacobian():
     m = minimal_vector(start)
     _, analytic = system.residuals_and_jacobian(m)
     numeric = finite_difference_jacobian(system, m, h=1e-6)
-    rel = float(np.max(np.abs(analytic - numeric)) / np.max(np.abs(analytic)))
+    rel = float(np.max(np.abs(analytic.toarray() - numeric))
+                / np.max(np.abs(analytic.toarray())))
     assert rel < 1e-5
     _ok(9, f"solver: {result.iterations} Newton steps to "
            f"{result.residual:.2e}; Jacobian vs central differences "

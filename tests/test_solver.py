@@ -1,19 +1,27 @@
 """Newton solver over the consistency variety."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flagdual import (DecoratedComplex, Decoration, canonicalize_six,
-                      check_edges, check_faces, complete_from_minimal,
-                      duality_defect, dualize, solve_consistency,
-                      volume_complex)
-from flagdual.bundled import (figure_eight_complex, single_tetra_triangulation,
+from flagdual import (DecoratedComplex, Decoration, FacePairing,
+                      IdealTriangulation, canonicalize_six, check_edges,
+                      check_faces, complete_from_minimal, duality_defect,
+                      dualize, solve_consistency, volume_complex)
+from flagdual.bundled import (GEOMETRIC_SHAPE, figure_eight_complex,
+                              single_tetra_triangulation,
                               twisted_double_complex)
 from flagdual.errors import LeftDomain, SolverDiverged, Unsupported
-from flagdual.solver import (ConsistencySystem, complex_from_vector,
+from flagdual.solver import (C1, C2, DENSE_MAX_UNKNOWNS, ID,
+                             ConsistencySystem, cgls, complex_from_vector,
                              finite_difference_jacobian, minimal_vector)
+
+from helpers import cyclic_cover
 
 
 def _perturbed_figure_eight(scale=1e-3, seed=7):
@@ -22,6 +30,19 @@ def _perturbed_figure_eight(scale=1e-3, seed=7):
     m = minimal_vector(dc)
     noise = rng.uniform(-1, 1, m.size) + 1j * rng.uniform(-1, 1, m.size)
     return dc, complex_from_vector(dc, m * (1 + scale * noise))
+
+
+def _lifted_cover(n, voltages):
+    tri = cyclic_cover(n, voltages)
+    regular = complete_from_minimal((GEOMETRIC_SHAPE,) * 4)
+    return DecoratedComplex(tri, Decoration([regular] * tri.n))
+
+
+def _perturbed(dc, scale=1e-3, seed=31):
+    rng = np.random.default_rng(seed)
+    m = minimal_vector(dc)
+    noise = rng.uniform(-1, 1, m.size) + 1j * rng.uniform(-1, 1, m.size)
+    return complex_from_vector(dc, m * (1 + scale * noise))
 
 
 def test_self_convergence_from_perturbed_geometric():
@@ -98,8 +119,8 @@ def test_jacobian_matches_central_differences():
     m = minimal_vector(start)
     _, analytic = system.residuals_and_jacobian(m)
     numeric = finite_difference_jacobian(system, m, h=1e-6)
-    scale = np.max(np.abs(analytic))
-    assert np.max(np.abs(analytic - numeric)) <= 1e-5 * scale
+    scale = np.max(np.abs(analytic.toarray()))
+    assert np.max(np.abs(analytic.toarray() - numeric)) <= 1e-5 * scale
 
 
 def test_jacobian_rank_deficiency_at_geometric_point():
@@ -107,7 +128,7 @@ def test_jacobian_rank_deficiency_at_geometric_point():
     system = ConsistencySystem(dc.triangulation)
     r, jac = system.residuals_and_jacobian(minimal_vector(dc))
     assert float(np.max(np.abs(r))) < 1e-12
-    sv = np.linalg.svd(jac, compute_uv=False)
+    sv = np.linalg.svd(jac.toarray(), compute_uv=False)
     assert sv[5] > 1e-6      # rank at least 6
     assert sv[6] < 1e-10     # nullity 2: the variety has positive dimension
 
@@ -139,3 +160,116 @@ def test_solver_tolerance_parameter():
     assert loose.residual < 1e-6
     assert tight.residual < 1e-13
     assert loose.iterations <= tight.iterations
+
+
+def test_history_records_every_dense_iteration():
+    _, start = _perturbed_figure_eight(seed=19)
+    result = solve_consistency(start)
+    history = result.history
+    assert len(history) == result.iterations >= 1
+    assert history[-1].max_residual == result.residual
+    for rec in history:
+        assert rec.rank == 6 and rec.inner_iterations is None
+        assert 0.0 < rec.alpha <= 1.0
+        assert rec.alpha == 0.5 ** rec.halvings
+        assert rec.step_norm > 0.0
+        assert rec.max_residual ** 2 <= rec.residual_sq <= \
+            8 * rec.max_residual ** 2
+    assert solve_consistency(figure_eight_complex()).history == []
+
+
+def test_matrix_free_solve_on_cover():
+    lift = _lifted_cover(32, (3, 5, 7, 11))
+    assert 4 * lift.triangulation.n > DENSE_MAX_UNKNOWNS
+    result = solve_consistency(_perturbed(lift))
+    assert result.residual < 1e-12
+    assert all(rec.rank is None and rec.inner_iterations > 0
+               for rec in result.history)
+    dc = result.decorated
+    dual = dualize(dc)
+    for side in (dc, dual):
+        assert check_faces(side).passed(1e-10)
+        assert check_edges(side).passed(1e-10)
+    assert abs(volume_complex(dc) - volume_complex(dual)) < 1e-9
+    assert canonicalize_six(duality_defect(dc)).is_zero()
+    gap = np.max(np.abs(minimal_vector(dc) - minimal_vector(lift)))
+    assert gap > 1e-6  # a nearby point of the variety, not the lift
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_matrix_free_step_is_the_minimum_norm_step(n):
+    # the Jacobian at the lifted point is rank-deficient; the residual of
+    # a perturbed point is in general not in its range
+    lift = _lifted_cover(n, (1, 0, 0, 0))
+    system = ConsistencySystem(lift.triangulation)
+    assert (system.n_unknowns <= DENSE_MAX_UNKNOWNS) == (n <= 8)
+    _, jac = system.residuals_and_jacobian(minimal_vector(lift))
+    r = system.residuals(minimal_vector(_perturbed(lift, seed=n)))
+    dense = jac.toarray()
+    assert np.linalg.matrix_rank(dense) < min(dense.shape)
+    reference = np.linalg.lstsq(dense, -r, rcond=None)[0]
+    step, inner = cgls(jac, -r)
+    assert 0 < inner
+    assert np.linalg.norm(step - reference) <= \
+        1e-8 * np.linalg.norm(reference)
+
+
+def test_jacobian_on_cover_matches_central_differences():
+    # every other pairing of the 4-fold cover is written with both faces
+    # in odd vertex order (the same gluing), so that a face contributes
+    # its factors as reciprocals
+    cover = cyclic_cover(4, (1, 1, 0, 0))
+    tri = IdealTriangulation(cover.n, [
+        FacePairing(p.tet_a, p.face_a[::-1], p.tet_b, p.face_b[::-1])
+        if k % 2 else p for k, p in enumerate(cover.pairings)])
+    regular = complete_from_minimal((GEOMETRIC_SHAPE,) * 4)
+    lift = DecoratedComplex(tri, Decoration([regular] * tri.n))
+    system = ConsistencySystem(tri)
+    assert np.max(np.abs(system.residuals(minimal_vector(lift)))) < 1e-12
+    factors = [f for _, fs, _ in system.products for f in fs]
+    assert {tag for _, tag, _ in factors} == {ID, C1, C2}
+    assert {sign for _, _, sign in factors} == {1, -1}
+    assert any(len({col for col, _, _ in fs}) < len(fs)
+               for _, fs, _ in system.products)
+    m = minimal_vector(_perturbed(lift, seed=5))
+    _, jac = system.residuals_and_jacobian(m)
+    analytic = jac.toarray()
+    numeric = finite_difference_jacobian(system, m, h=1e-6)
+    scale = np.max(np.abs(analytic))
+    assert np.max(np.abs(analytic - numeric)) <= 1e-5 * scale
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(analytic.shape[1]) * (1 + 1j)
+    y = rng.standard_normal(analytic.shape[0]) * (1 - 2j)
+    assert np.allclose(jac.matvec(x), analytic @ x, rtol=1e-13, atol=0)
+    assert np.allclose(jac.rmatvec(y), analytic.conj().T @ y,
+                       rtol=1e-13, atol=0)
+
+
+def test_solving_a_cover_imports_no_scipy():
+    code = """if True:
+        import sys
+        import numpy as np
+        from flagdual import (DecoratedComplex, Decoration, FacePairing,
+                              IdealTriangulation, bundled,
+                              complete_from_minimal, solve_consistency)
+        from flagdual.solver import complex_from_vector, minimal_vector
+        n, voltages = 32, (3, 5, 7, 11)
+        base = bundled.figure_eight_triangulation()
+        tri = IdealTriangulation(2 * n, [
+            FacePairing(2 * s + p.tet_a, p.face_a,
+                        2 * ((s + v) % n) + p.tet_b, p.face_b)
+            for p, v in zip(base.pairings, voltages) for s in range(n)])
+        c = complete_from_minimal((bundled.GEOMETRIC_SHAPE,) * 4)
+        lift = DecoratedComplex(tri, Decoration([c] * tri.n))
+        m = minimal_vector(lift) * (1 + 1e-3 * np.sin(np.arange(4 * tri.n)))
+        result = solve_consistency(complex_from_vector(lift, m))
+        assert result.residual < 1e-12 and result.history[0].rank is None
+        print("scipy" in sys.modules)
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
