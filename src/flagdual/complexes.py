@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .duality import defect_pairs, dual_coords_closed
-from .errors import MalformedPairing, NotVeryGeneric
+from .errors import FlagdualError, MalformedPairing
 from .prebloch import FormalSum, eval_D
 from .scalars import to_complex
 from .tetra import edge_coords, face_class, very_generic
@@ -203,6 +203,18 @@ class EdgeClass:
         return len(self.members)
 
 
+def per_tetrahedron(f, items, *args) -> list:
+    """[f(item, *args) for item in items], a package error naming the
+    tetrahedron; it keeps its class, so the CLI keeps its exit code."""
+    out = []
+    for nu, item in enumerate(items):
+        try:
+            out.append(f(item, *args))
+        except FlagdualError as exc:
+            raise type(exc)(f"tetrahedron {nu}: {exc}") from exc
+    return out
+
+
 class Decoration:
     """Per-tetrahedron coordinates (optionally with the source flags)."""
 
@@ -217,7 +229,7 @@ class Decoration:
     @classmethod
     def from_flags(cls, tuples):
         tuples = list(tuples)
-        return cls([edge_coords(t) for t in tuples], tuples)
+        return cls(per_tetrahedron(edge_coords, tuples), tuples)
 
     def __len__(self):
         return len(self.coords)
@@ -357,13 +369,8 @@ def dualize(dc: DecoratedComplex) -> DecoratedComplex:
     If the input satisfies the face and edge equations, so does the
     output; this is checked by the test suite rather than assumed.
     """
-    out = []
-    for nu, c in enumerate(dc.coords):
-        try:
-            out.append(dual_coords_closed(c))
-        except NotVeryGeneric as exc:
-            raise NotVeryGeneric(f"tetrahedron {nu}: {exc}") from exc
-    return DecoratedComplex(dc.triangulation, Decoration(out))
+    return DecoratedComplex(dc.triangulation, Decoration(
+        per_tetrahedron(dual_coords_closed, dc.coords)))
 
 
 def conjugate_complex(dc: DecoratedComplex) -> DecoratedComplex:
@@ -379,10 +386,5 @@ def duality_defect(dc: DecoratedComplex) -> FormalSum:
     canonicalize_six, faces matched by a pairing cancel in pairs, so a
     boundaryless consistent complex has canonicalized defect zero.
     """
-    pairs = []
-    for nu, c in enumerate(dc.coords):
-        try:
-            pairs += defect_pairs(c)
-        except NotVeryGeneric as exc:
-            raise NotVeryGeneric(f"tetrahedron {nu}: {exc}") from exc
-    return FormalSum(pairs)
+    pairs = per_tetrahedron(defect_pairs, dc.coords)
+    return FormalSum([p for tetra_pairs in pairs for p in tetra_pairs])

@@ -22,21 +22,10 @@ from __future__ import annotations
 from .errors import NotVeryGeneric, WSingular
 from .flags import FlagTuple, is_very_generic, normalize_to_standard
 from .prebloch import FormalSum
-from .scalars import is_exact, normalize_values, scalar_is_zero
+from .scalars import normalize_values, scalar_is_zero
 from .tetra import (CANONICAL_FACES, EVEN_COMPLETION, MINIMAL_EDGES,
                     MinimalCoords, TetraCoords, complete_from_minimal,
-                    edge_coords)
-
-_VG_TOL = 1e-10
-
-
-def _require_very_generic(c: TetraCoords):
-    for key, v in c.face.items():
-        bad = (v == -1) if is_exact(v) else \
-            abs(complex(v) + 1) <= _VG_TOL * (1 + abs(complex(v)))
-        if bad:
-            name = "".join(map(str, key))
-            raise NotVeryGeneric(f"face coordinate z_{name} = -1")
+                    edge_coords, very_generic)
 
 
 def _dual_edge(c: TetraCoords, i, j):
@@ -50,26 +39,16 @@ def _dual_edge(c: TetraCoords, i, j):
 def dual_coords_closed(c: TetraCoords) -> TetraCoords:
     """Dual coordinates by the closed formula alone.
 
-    The four minimal dual edges feed complete_from_minimal; the remaining
-    eight completed values are then cross-checked against the directly
-    computed formula, so any incompatibility with the vertex relations
-    would surface here.  Faces invert.
+    The formula gives the four minimal dual edges, the vertex relations
+    complete the other eight, and the faces invert.  That the completed
+    edges agree with the formula, and the completed faces with the
+    inverted ones, is checked by the test suite.
     """
-    _require_very_generic(c)
-    direct = {e: _dual_edge(c, *e) for e in EVEN_COMPLETION}
+    very_generic(c, require=True)
     dual = complete_from_minimal(MinimalCoords(
-        *(direct[e] for e in MINIMAL_EDGES)))
-    for e, v in direct.items():
-        got = dual.edge_value(*e)
-        agree = (got == v) if is_exact(v) else \
-            abs(complex(got) - complex(v)) <= 1e-9 * (1 + abs(complex(v)))
-        if not agree:
-            raise ArithmeticError(
-                f"dual edge z*{e[0]}{e[1]} disagrees between the closed "
-                f"formula and the vertex relations: {v!r} vs {got!r}")
+        *(_dual_edge(c, *e) for e in MINIMAL_EDGES)))
     inv_faces = {key: 1 / c.face[key] for key in CANONICAL_FACES}
-    # the completed dual faces must equal the inverted originals
-    return TetraCoords(dict(dual.edge), inv_faces)
+    return TetraCoords._derived(dual.edge, inv_faces)
 
 
 def dual_coords_matrix(t: FlagTuple) -> TetraCoords:
@@ -157,5 +136,5 @@ def beta_defect(c: TetraCoords) -> FormalSum:
 
 def defect_pairs(c: TetraCoords) -> list:
     """The (generator, coefficient) pairs of beta_defect, unmerged."""
-    _require_very_generic(c)
+    very_generic(c, require=True)
     return [(-c.face[key], 1) for key in CANONICAL_FACES]

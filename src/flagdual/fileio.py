@@ -20,20 +20,36 @@ from __future__ import annotations
 import json
 
 from .complexes import (DecoratedComplex, Decoration, FacePairing,
-                        IdealTriangulation)
+                        IdealTriangulation, per_tetrahedron)
 from .errors import FlagdualError, ParseError
 from .flags import Flag, FlagTuple
 from .scalars import scalar_from_json, scalar_to_json
 from .tetra import TetraCoords
 
 
-def _flag_from_json(data, backend):
+def _coords_from_json(item, backend):
     try:
-        point = [scalar_from_json(v, backend) for v in data["point"]]
-        line = [scalar_from_json(v, backend) for v in data["line"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed flag record: {data!r}") from exc
-    return Flag(point, line)
+        return TetraCoords.from_json(item, backend)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ParseError(f"malformed coordinate record: {exc}") from exc
+    except ValueError as exc:
+        if isinstance(exc, FlagdualError):
+            raise  # domain errors (bad values) keep their meaning
+        raise ParseError(f"malformed coordinate record: {exc}") from exc
+
+
+def _flags_from_json(item, backend):
+    if len(item) != 4:
+        raise ParseError("each tetrahedron needs exactly four flags")
+    flags = []
+    for data in item:
+        try:
+            point = [scalar_from_json(v, backend) for v in data["point"]]
+            line = [scalar_from_json(v, backend) for v in data["line"]]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"malformed flag record: {data!r}") from exc
+        flags.append(Flag(point, line))
+    return FlagTuple(flags)
 
 
 def flag_to_json(flag: Flag):
@@ -58,23 +74,11 @@ def load_complex(data: dict, backend: str = "auto") -> DecoratedComplex:
         raise ParseError(
             f"decoration has {len(items)} entries for {n} tetrahedra")
     if mode == "coords":
-        try:
-            coords = [TetraCoords.from_json(item, backend) for item in items]
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ParseError(f"malformed coordinate record: {exc}") from exc
-        except ValueError as exc:
-            if isinstance(exc, FlagdualError):
-                raise  # domain errors (bad values) keep their meaning
-            raise ParseError(f"malformed coordinate record: {exc}") from exc
-        decoration = Decoration(coords)
+        decoration = Decoration(
+            per_tetrahedron(_coords_from_json, items, backend))
     elif mode == "flags":
-        tuples = []
-        for item in items:
-            if len(item) != 4:
-                raise ParseError("each tetrahedron needs exactly four flags")
-            tuples.append(FlagTuple([_flag_from_json(f, backend)
-                                     for f in item]))
-        decoration = Decoration.from_flags(tuples)
+        decoration = Decoration.from_flags(
+            per_tetrahedron(_flags_from_json, items, backend))
     else:
         raise ParseError(f"unknown decoration mode {mode!r}")
     return DecoratedComplex(triangulation, decoration)

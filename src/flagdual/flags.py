@@ -194,10 +194,7 @@ def cr_flag(x) -> Flag:
     """
     x = tuple(x)
     h = _hermitian_pairing(x, x)
-    if is_exact(h):
-        if not scalar_is_zero(h):
-            raise NotOnSphere(f"<x,x> = {h} != 0")
-    elif abs(complex(h)) > 1e-10 * (_norm2(x) ** 2 + 1e-300):
+    if not _is_negligible(h, _norm2(x) ** 2 + 1e-300):
         raise NotOnSphere(f"<x,x> = {h} != 0")
     line = (conj(x[2]), conj(x[1]), conj(x[0]))
     return Flag(x, line)

@@ -27,8 +27,7 @@ from fractions import Fraction
 from .errors import BackendMismatch, OutOfDomain, Unsupported
 from .gaussian import _gi_norm, exponent_vector
 from .scalars import GaussRational, exactify, is_exact, to_complex
-
-MERGE_TOL = 1e-12  # relative distance below which float generators merge
+from .tolerances import MERGE_TOL
 
 # The float merge index is a hash grid.  Partners a, b satisfy
 # |a - b| <= MERGE_TOL (1 + |a| + |b|) <= 2.0001 MERGE_TOL (1 + |a|), so a

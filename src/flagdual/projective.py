@@ -3,7 +3,8 @@
 Everything here is generic over the two scalar backends: points at
 infinity are handled through homogeneous coordinates, never by affine
 special cases, and all degeneracy predicates are exact zero tests in the
-exact backend and scale-relative thresholds (1e-10) in the float backend.
+exact backend and scale-relative thresholds (DEGENERACY_TOL) in the float
+backend.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import math
 
 from .errors import DegenerateInput, SingularMatrix
 from .scalars import (is_exact, normalize_values, scalar_is_zero, to_complex)
-
-DEGENERACY_TOL = 1e-10
+from .tolerances import DEGENERACY_TOL
 
 
 def _norm2(values) -> float:

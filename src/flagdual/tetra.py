@@ -10,11 +10,11 @@ boundary-oriented faces).  Four edge coordinates determine everything:
 * each face coordinate is minus the product of the three edge
   coordinates pointing at the opposite vertex, z_ijk = -z_il z_jl z_kl.
 
-TetraCoords stores all 16 values redundantly and re-validates these
-relations on construction, so corrupted decorations are detected at the
-door.  The even-permutation bookkeeping is frozen in the module tables
-below (EVEN_COMPLETION and CANONICAL_FACES); the same tables are quoted
-in the README since they are the single most error-prone convention.
+TetraCoords stores all 16 values.  Its constructor (used by from_json and
+edge_coords) validates these relations; values derived by these formulas
+skip that check.  The even-permutation bookkeeping is frozen in the module
+tables below (EVEN_COMPLETION and CANONICAL_FACES); the same tables are
+quoted in the README since they are the single most error-prone convention.
 """
 
 from __future__ import annotations
@@ -23,19 +23,15 @@ import math
 from itertools import permutations
 from typing import NamedTuple
 
-from .errors import DegenerateInput, OutOfDomain
+from .errors import DegenerateInput, NotVeryGeneric, OutOfDomain
 from .flags import Flag, FlagTuple
 from .prebloch import FormalSum, eval_D
 from .projective import _is_negligible, _norm2, det3, vdot
 from .scalars import (conj, is_exact, nearly_equal, normalize_values,
                       scalar_is_zero)
+from .tolerances import VALIDATION_TOL, VERY_GENERIC_TOL
 
 VERTICES = (1, 2, 3, 4)
-
-# float tolerances: relation validation is loose enough to accept rounding
-# of independently measured coordinates, tight enough to flag corruption
-VALIDATION_TOL = 1e-6
-VERY_GENERIC_TOL = 1e-10
 
 
 def perm_parity(seq) -> int:
@@ -57,7 +53,8 @@ def _build_even_completion():
     return table
 
 
-# (i, j) -> (k, l) with (i, j, k, l) an even permutation of (1, 2, 3, 4)
+# (i, j) -> (k, l) with (i, j, k, l) an even permutation of (1, 2, 3, 4);
+# its sorted key order is that of TetraCoords.edge, which to_json follows
 EVEN_COMPLETION = _build_even_completion()
 
 # boundary-oriented faces: (i, j, k) with (i, j, k, missing) even,
@@ -115,22 +112,32 @@ class TetraCoords:
 
     __slots__ = ("edge", "face")
 
-    def __init__(self, edge, face, _validate=True):
+    def __init__(self, edge, face):
         if set(edge) != set(EVEN_COMPLETION):
             raise ValueError("need exactly the 12 oriented edges")
-        ekeys = sorted(edge)
         values = normalize_values(
-            [edge[k] for k in ekeys] + [face[k] for k in CANONICAL_FACES],
-            "tetra coordinates")
-        self.edge = dict(zip(ekeys, values[:12]))
-        self.face = dict(zip(CANONICAL_FACES, values[12:]))
+            [edge[k] for k in EVEN_COMPLETION]
+            + [face[k] for k in CANONICAL_FACES], "tetra coordinates")
+        self._store(dict(zip(EVEN_COMPLETION, values[:12])),
+                    dict(zip(CANONICAL_FACES, values[12:])))
+        self._validate()
+
+    @classmethod
+    def _derived(cls, edge, face) -> "TetraCoords":
+        """Values the library derived, in one backend and satisfying the
+        relations by construction: only the domain checks run."""
+        c = cls.__new__(cls)
+        c._store(edge, face)
+        return c
+
+    def _store(self, edge, face):
+        self.edge = {k: edge[k] for k in EVEN_COMPLETION}
+        self.face = {k: face[k] for k in CANONICAL_FACES}
         for key, z in self.edge.items():
             _check_domain(z, f"edge coordinate z{key[0]}{key[1]}")
         for key, z in self.face.items():
             if scalar_is_zero(z):
                 raise OutOfDomain(f"face coordinate {key} is zero")
-        if _validate:
-            self._validate()
 
     def _validate(self):
         for (i, j), (k, l) in EVEN_COMPLETION.items():
@@ -175,9 +182,9 @@ class TetraCoords:
         return is_exact(self.edge[(1, 2)])
 
     def conjugate(self) -> "TetraCoords":
-        return TetraCoords({k: conj(v) for k, v in self.edge.items()},
-                           {k: conj(v) for k, v in self.face.items()},
-                           _validate=False)
+        return TetraCoords._derived(
+            {k: conj(v) for k, v in self.edge.items()},
+            {k: conj(v) for k, v in self.face.items()})
 
     def same_as(self, other: "TetraCoords", tol=0.0) -> bool:
         """Exact equality, or closeness when a float tolerance is given."""
@@ -239,7 +246,7 @@ def edge_coords(t: FlagTuple) -> TetraCoords:
 
     Edge values use z_ij = f_i(x_k) det(x_i,x_j,x_l) / (f_i(x_l)
     det(x_i,x_j,x_k)) with (i,j,k,l) even; face values are measured
-    independently as triple ratios, so the construction-time validation
+    independently as triple ratios, and the constructor's validation
     cross-checks the two routes.
     """
     if len(t) != 4:
@@ -302,7 +309,7 @@ def complete_from_minimal(m) -> TetraCoords:
         i, j, k = fkey
         l = FACE_OPPOSITE[fkey]
         faces[fkey] = -(edges[(i, l)] * edges[(j, l)] * edges[(k, l)])
-    return TetraCoords(edges, faces)
+    return TetraCoords._derived(edges, faces)
 
 
 def reconstruct(m) -> FlagTuple:
@@ -340,14 +347,17 @@ def volume_tetra(c: TetraCoords) -> float:
     return eval_D(beta_tetra(c)) / 4.0
 
 
-def very_generic(c: TetraCoords) -> bool:
-    """True when no face coordinate equals -1 (duality stays regular)."""
-    for v in c.face.values():
-        if is_exact(c.edge[(1, 2)]):
-            if v == -1:
-                return False
-        else:
-            w = complex(v)
-            if abs(w + 1) <= VERY_GENERIC_TOL * (1 + abs(w)):
-                return False
+def very_generic(c: TetraCoords, require=False) -> bool:
+    """True when no face coordinate equals -1 (duality stays regular).
+
+    Floats count as -1 within VERY_GENERIC_TOL.  With require=True such a
+    face raises NotVeryGeneric, which names it, instead.
+    """
+    for key, v in c.face.items():
+        if v == -1 or not is_exact(v) and \
+                abs(v + 1) <= VERY_GENERIC_TOL * (1 + abs(v)):
+            if require:
+                name = "".join(map(str, key))
+                raise NotVeryGeneric(f"face coordinate z_{name} = -1")
+            return False
     return True

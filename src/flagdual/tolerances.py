@@ -1,0 +1,8 @@
+"""Float tolerances, all relative; exact scalars compare exactly."""
+
+DEGENERACY_TOL = 1e-10  # zero test of pairings, determinants, null points
+# relations of loaded or measured coordinates: loose enough to accept the
+# rounding of independent measurements, tight enough to flag corruption
+VALIDATION_TOL = 1e-6
+VERY_GENERIC_TOL = 1e-10  # distance of a face coordinate from -1
+MERGE_TOL = 1e-12  # distance below which float generators merge

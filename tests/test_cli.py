@@ -244,3 +244,30 @@ def test_corrupted_coordinates_are_domain_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", str(f))
     assert code == 2
     assert "vertex relation" in err
+
+
+def test_loader_errors_name_the_tetrahedron(tmp_path, capsys):
+    from flagdual.fileio import dump_complex_flags
+    f = tmp_path / "bad.json"
+
+    def check_fails(data):
+        f.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "check", str(f))
+        return code, err
+
+    fig8 = json.loads(json.dumps(dump_complex(figure_eight_complex())))
+    fig8["decoration"]["data"][1]["edges"]["13"] = [5.0, 5.0]
+    assert check_fails(fig8) == (
+        2, "error: tetrahedron 1: vertex relation broken: "
+           "z13 != 1/(1-z12)\n")
+
+    fig8 = json.loads(json.dumps(dump_complex(figure_eight_complex())))
+    del fig8["decoration"]["data"][1]["faces"]["243"]
+    assert check_fails(fig8) == (
+        1, "error: tetrahedron 1: malformed coordinate record: (2, 4, 3)\n")
+
+    double = dump_complex_flags(twisted_double_complex())
+    # still incident, but the first line now passes through x4
+    double["decoration"]["data"][1][0]["line"] = ["1", "0", "-1"]
+    assert check_fails(double) == (
+        2, "error: tetrahedron 1: pairing f1(x4) vanishes\n")

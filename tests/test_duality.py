@@ -10,10 +10,10 @@ from flagdual import (FormalSum, GaussRational, ProjPoint1, WCoords,
                       conjugate_coords, cross_ratio, dual_coords_closed,
                       dual_coords_matrix, edge_coords, eval_D, from_w,
                       reconstruct, to_w, veronese_tetrahedron)
-from flagdual.duality import W_PAIRS
+from flagdual.duality import W_PAIRS, _dual_edge
 from flagdual.errors import NotVeryGeneric, WSingular
 from flagdual.projective import restrict_to_p1, vcross
-from flagdual.tetra import EVEN_COMPLETION
+from flagdual.tetra import CANONICAL_FACES, EVEN_COMPLETION
 
 from helpers import (rand_exact_flag_tetra, rand_exact_tetra, rand_float_tetra,
                      rand_gauss_rational)
@@ -63,6 +63,21 @@ def test_face_coordinates_invert():
     d = dual_coords_closed(c)
     for key in c.face:
         assert d.face[key] * c.face[key] == 1
+
+
+def test_closed_dual_completion_agrees_with_formula():
+    # dual_coords_closed evaluates the formula on the four minimal edges
+    # only: the eight completed edges must equal the formula as well, and
+    # the faces completed from the dual edges the inverted originals
+    rng = random.Random(76)
+    for _ in range(60):
+        _, c = rand_exact_tetra(rng)
+        d = dual_coords_closed(c)
+        for (i, j) in EVEN_COMPLETION:
+            assert d.edge_value(i, j) == _dual_edge(c, i, j)
+        completed = complete_from_minimal(d.minimal())
+        for key in CANONICAL_FACES:
+            assert completed.face[key] == 1 / c.face[key]
 
 
 def test_duality_is_an_involution():

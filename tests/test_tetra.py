@@ -9,10 +9,11 @@ import pytest
 
 from flagdual import (Flag, GaussRational, MinimalCoords,
                       ProjPoint1, TetraCoords, beta_tetra,
-                      complete_from_minimal, cross_ratio, edge_coords,
+                      complete_from_minimal, cross_ratio,
+                      dual_coords_closed, edge_coords,
                       reconstruct, triple_ratio, very_generic,
                       veronese_tetrahedron, volume_tetra)
-from flagdual.errors import DegenerateInput, OutOfDomain
+from flagdual.errors import DegenerateInput, NotVeryGeneric, OutOfDomain
 from flagdual.flags import normalize_to_standard
 from flagdual.projective import proportional, restrict_to_p1, vcross
 from flagdual.tetra import CANONICAL_FACES, EVEN_COMPLETION, FACE_OPPOSITE, \
@@ -193,6 +194,24 @@ def test_edge_coords_match_pencil_cross_ratio():
         assert cross_ratio(*coords) == c.edge_value(i, j)
 
 
+@pytest.mark.parametrize("z12, edge", [(1 + 1e-320j, "z13"),
+                                      (1e-320 + 0j, "z13"),
+                                      (1.7e308 + 0j, "z14")])
+def test_completion_rejects_derived_values_out_of_domain(z12, edge):
+    # in binary64, z13 = 1/(1-z12) overflows or rounds to 1, and
+    # z14 = 1-1/z12 rounds to 1: the completed edge is refused by name
+    with pytest.raises(OutOfDomain, match=f"edge coordinate {edge} = "):
+        complete_from_minimal((z12, 0.3 + 0.7j, 1.6 - 0.5j, 0.2 - 1.3j))
+
+
+def test_derived_coordinates_keep_the_stored_order():
+    rng = random.Random(59)
+    _, c = rand_exact_tetra(rng)
+    for d in (c, c.conjugate(), dual_coords_closed(c)):
+        assert list(d.edge) == sorted(EVEN_COMPLETION)
+        assert tuple(d.face) == CANONICAL_FACES
+
+
 def test_very_generic_detects_face_minus_one():
     rng = random.Random(57)
     _, c = rand_exact_tetra(rng)
@@ -203,6 +222,8 @@ def test_very_generic_detects_face_minus_one():
                                  GaussRational(-4), GaussRational(5)))
     assert bad.face[(1, 2, 3)] == -1
     assert not very_generic(bad)
+    with pytest.raises(NotVeryGeneric, match=r"face coordinate z_123 = -1"):
+        very_generic(bad, require=True)
 
 
 def test_beta_and_volume():
