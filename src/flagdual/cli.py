@@ -33,6 +33,7 @@ from .prebloch import canonicalize_six, eval_D
 from .scalars import parse_exact
 from .solver import solve_consistency
 from .tetra import volume_tetra
+from .tolerances import CHECK_TOL
 
 _PARSE_ERRORS = (ParseError,)
 _DOMAIN_ERRORS = (DegenerateInput, NotVeryGeneric, OutOfDomain, WSingular,
@@ -54,28 +55,24 @@ def _parse_param(text):
 
 
 def _emit_complex(dc, args, extra=None, keep_flags=False):
-    payload = fileio.dump_complex_flags(dc) if keep_flags \
-        else fileio.dump_complex(dc)
+    """Write the complex to -o or to stdout, with the extra items.
+
+    Without --json the extras are notes: on stdout beside the "wrote"
+    line, on stderr when stdout carries the complex itself.
+    """
+    extra = extra or {}
     if args.output:
-        fileio.write_complex(args.output, dc, keep_flags=keep_flags)
-        if args.json:
-            out = {"written": args.output}
-            out.update(extra or {})
-            print(json.dumps(out))
-        else:
-            for k, v in (extra or {}).items():
-                print(f"{k}: {v}")
-            print(f"wrote {args.output}")
+        fileio.write_complex(args.output, dc, keep_flags)
+        out = {"written": args.output}
     else:
-        if args.json or not extra:
-            out = {"complex": payload}
-            out.update(extra or {})
-            print(json.dumps(out) if args.json
-                  else json.dumps(payload, indent=1))
-        else:
-            for k, v in extra.items():
-                print(f"{k}: {v}", file=sys.stderr)
-            print(json.dumps(payload, indent=1))
+        out = {"complex": fileio.dump_complex(dc, keep_flags)}
+    if args.json:
+        print(json.dumps({**out, **extra}))
+        return
+    for k, v in extra.items():
+        print(f"{k}: {v}", file=sys.stdout if args.output else sys.stderr)
+    print(f"wrote {args.output}" if args.output
+          else json.dumps(out["complex"], indent=1))
 
 
 def _load(args):
@@ -224,7 +221,7 @@ def _common(sub, input_file=True):
     sub.add_argument("--backend", choices=("auto", "exact", "float"),
                      default="auto",
                      help="scalar backend for loading (default: follow file)")
-    sub.add_argument("--tolerance", type=float, default=1e-9,
+    sub.add_argument("--tolerance", type=float, default=CHECK_TOL,
                      help="residual tolerance (default 1e-9)")
     sub.add_argument("--json", action="store_true",
                      help="machine-readable stdout")

@@ -30,7 +30,8 @@ from .duality import defect_pairs, dual_coords_closed
 from .errors import FlagdualError, MalformedPairing
 from .prebloch import FormalSum, eval_D
 from .scalars import to_complex
-from .tetra import edge_coords, face_class, very_generic
+from .tetra import edge_coords, face_class
+from .tolerances import CHECK_TOL
 
 _VERTICES = (1, 2, 3, 4)
 
@@ -238,9 +239,6 @@ class Decoration:
     def exact(self) -> bool:
         return bool(self.coords) and self.coords[0].exact
 
-    def very_generic_flags(self):
-        return [very_generic(c) for c in self.coords]
-
 
 @dataclass
 class DecoratedComplex:
@@ -277,7 +275,7 @@ class CheckReport:
     def max_residual(self) -> float:
         return max((it.residual for it in self.items), default=0.0)
 
-    def passed(self, tol=1e-9) -> bool:
+    def passed(self, tol=CHECK_TOL) -> bool:
         if any(it.exact_ok is not None for it in self.items):
             return all(it.exact_ok for it in self.items)
         return self.max_residual <= tol
@@ -285,7 +283,7 @@ class CheckReport:
     def worst(self):
         return max(self.items, key=lambda it: it.residual, default=None)
 
-    def failures(self, tol=1e-9):
+    def failures(self, tol=CHECK_TOL):
         if any(it.exact_ok is not None for it in self.items):
             return [it for it in self.items if not it.exact_ok]
         return [it for it in self.items if it.residual > tol]
@@ -348,7 +346,7 @@ def check_edges(dc: DecoratedComplex) -> CheckReport:
     return report
 
 
-def is_consistent(dc: DecoratedComplex, tol=1e-9) -> bool:
+def is_consistent(dc: DecoratedComplex, tol=CHECK_TOL) -> bool:
     return check_faces(dc).passed(tol) and check_edges(dc).passed(tol)
 
 

@@ -65,11 +65,6 @@ def dual_coords_matrix(t: FlagTuple) -> TetraCoords:
     return edge_coords(dual.transformed(m))
 
 
-def conjugate_coords(c: TetraCoords) -> TetraCoords:
-    """Entrywise complex conjugation (commutes with duality)."""
-    return c.conjugate()
-
-
 # -- w-coordinates -------------------------------------------------------------
 
 W_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))

@@ -39,7 +39,7 @@ def _coords_from_json(item, backend):
 
 
 def _flags_from_json(item, backend):
-    if len(item) != 4:
+    if not isinstance(item, list) or len(item) != 4:
         raise ParseError("each tetrahedron needs exactly four flags")
     flags = []
     for data in item:
@@ -48,6 +48,9 @@ def _flags_from_json(item, backend):
             line = [scalar_from_json(v, backend) for v in data["line"]]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed flag record: {data!r}") from exc
+        if len(point) != 3 or len(line) != 3:
+            raise ParseError(
+                f"flag point and line need three scalars each: {data!r}")
         flags.append(Flag(point, line))
     return FlagTuple(flags)
 
@@ -84,29 +87,20 @@ def load_complex(data: dict, backend: str = "auto") -> DecoratedComplex:
     return DecoratedComplex(triangulation, decoration)
 
 
-def dump_complex(dc: DecoratedComplex) -> dict:
+def dump_complex(dc: DecoratedComplex, keep_flags=False) -> dict:
+    """The file form of dc; with keep_flags, the decoration is written
+    as the flags it was measured from, when it carries them."""
+    tuples = dc.decoration.flag_tuples if keep_flags else None
+    if tuples is None:
+        decoration = {"mode": "coords",
+                      "data": [c.to_json() for c in dc.coords]}
+    else:
+        decoration = {"mode": "flags",
+                      "data": [[flag_to_json(f) for f in t] for t in tuples]}
     return {
         "tetrahedra": dc.triangulation.n,
         "pairings": [p.to_json() for p in dc.triangulation.pairings],
-        "decoration": {
-            "mode": "coords",
-            "data": [c.to_json() for c in dc.coords],
-        },
-    }
-
-
-def dump_complex_flags(dc: DecoratedComplex) -> dict:
-    """Variant keeping the flag data when the decoration carries it."""
-    if dc.decoration.flag_tuples is None:
-        return dump_complex(dc)
-    return {
-        "tetrahedra": dc.triangulation.n,
-        "pairings": [p.to_json() for p in dc.triangulation.pairings],
-        "decoration": {
-            "mode": "flags",
-            "data": [[flag_to_json(f) for f in t]
-                     for t in dc.decoration.flag_tuples],
-        },
+        "decoration": decoration,
     }
 
 
@@ -122,7 +116,7 @@ def read_complex(path, backend: str = "auto") -> DecoratedComplex:
 
 
 def write_complex(path, dc: DecoratedComplex, keep_flags=False):
-    data = dump_complex_flags(dc) if keep_flags else dump_complex(dc)
+    data = dump_complex(dc, keep_flags)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")

@@ -13,9 +13,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DegenerateInput, NotOnSphere
-from .projective import (Mat3, ProjPoint1, _is_negligible, _norm2, det3,
-                         pairing_is_zero, proportional, triple_is_degenerate,
-                         vdot)
+from .projective import (Mat3, ProjPoint1, det3, negligible, pairing_is_zero,
+                         triple_is_degenerate, vdot)
 from .scalars import (GaussRational, check_same_backend, conj, exactify,
                       is_exact, normalize_values, scalar_is_zero)
 
@@ -51,11 +50,6 @@ class Flag:
 
     def __repr__(self):
         return f"Flag(point={self.point!r}, line={self.line!r})"
-
-
-def dual_flag(f: Flag) -> Flag:
-    """The involution (x, f) -> (f, x)."""
-    return f.dual()
 
 
 class FlagTuple:
@@ -135,32 +129,18 @@ def normalize_to_standard(t) -> Mat3:
         raise DegenerateInput("need exactly four points")
     p1, p2, p3, p4 = pts
     d = det3(p1, p2, p3)
-    if triple_is_degenerate(p1, p2, p3):
+    if negligible(d, p1, p2, p3):
         raise DegenerateInput("first three points are collinear")
-    # solve p4 = l1*p1 + l2*p2 + l3*p3 by Cramer's rule
-    l1 = det3(p4, p2, p3) / d
-    l2 = det3(p1, p4, p3) / d
-    l3 = det3(p1, p2, p4) / d
-    scale = max(_norm2(p) for p in pts) + 1e-300
-    for idx, l in enumerate((l1, l2, l3)):
-        if _is_negligible(l, scale):
+    # solve p4 = l1*p1 + l2*p2 + l3*p3 by Cramer's rule; a zero numerator
+    # puts p4 on the line through the other two points
+    columns = []
+    for idx, cols in enumerate(((p4, p2, p3), (p1, p4, p3), (p1, p2, p4))):
+        n = det3(*cols)
+        if negligible(n, *cols):
             raise DegenerateInput(
                 f"fourth point is collinear with two others (lambda{idx + 1} = 0)")
-    frame = Mat3.from_columns(
-        tuple(l1 * c for c in p1),
-        tuple(l2 * c for c in p2),
-        tuple(l3 * c for c in p3))
-    return frame.inverse()
-
-
-def in_standard_position(t: FlagTuple) -> bool:
-    std = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-    pts = t.points()
-    if is_exact(pts[0][0]):
-        ref = std
-    else:
-        ref = tuple(tuple(complex(c) for c in s) for s in std)
-    return all(proportional(p, s) for p, s in zip(pts, ref))
+        columns.append(tuple(n / d * c for c in pts[idx]))
+    return Mat3.from_columns(*columns).inverse()
 
 
 def hyperbolic_flag(p: ProjPoint1) -> Flag:
@@ -194,7 +174,7 @@ def cr_flag(x) -> Flag:
     """
     x = tuple(x)
     h = _hermitian_pairing(x, x)
-    if not _is_negligible(h, _norm2(x) ** 2 + 1e-300):
+    if not negligible(h, x, x):
         raise NotOnSphere(f"<x,x> = {h} != 0")
     line = (conj(x[2]), conj(x[1]), conj(x[0]))
     return Flag(x, line)

@@ -87,9 +87,6 @@ class GaussianFactorization:
             z = _gi_mul(z, (0, 1))
         return z
 
-    def exponent_map(self):
-        return dict(self.factors)
-
     def __str__(self):
         parts = [f"i^{self.unit_pow % 4}"] if self.unit_pow % 4 else []
         for (a, b), e in self.factors:
@@ -98,7 +95,8 @@ class GaussianFactorization:
         return " * ".join(parts) if parts else "1"
 
 
-def _prime_key(p):
+def prime_key(p):
+    """Canonical order of normalized primes: by norm, then coordinates."""
     return (_gi_norm(p), p[0], p[1])
 
 
@@ -140,7 +138,7 @@ def factor_gauss_int(z) -> GaussianFactorization:
         raise ArithmeticError(f"factorization left non-unit remainder {z}")
     unit = (unit + _UNITS[z]) % 4
     # shed units from normalizing 1+i and inert primes (already normalized)
-    factors = tuple(sorted(found.items(), key=lambda kv: _prime_key(kv[0])))
+    factors = tuple(sorted(found.items(), key=lambda kv: prime_key(kv[0])))
     return GaussianFactorization(unit, factors)
 
 

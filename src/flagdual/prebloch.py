@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BackendMismatch, OutOfDomain, Unsupported
-from .gaussian import _gi_norm, exponent_vector
-from .scalars import GaussRational, exactify, is_exact, to_complex
+from .gaussian import exponent_vector, prime_key
+from .scalars import GaussRational, check_domain, to_complex
 from .tolerances import MERGE_TOL
 
 # The float merge index is a hash grid.  Partners a, b satisfy
@@ -40,20 +40,6 @@ _CELL_SCALE = 5 * MERGE_TOL
 _LEVEL_SLACK = 1e-11
 _LOW_MANTISSA = 0.5 / (1 - _LEVEL_SLACK)  # below: probe the level under
 _HIGH_MANTISSA = 1 / (1 + _LEVEL_SLACK)  # at or above: probe the one over
-
-
-def _check_generator(g):
-    if is_exact(g):
-        g = exactify(g)
-        if g == 0 or g == 1:
-            raise OutOfDomain(f"formal-sum generator {g} lies in {{0,1}}")
-        return g
-    z = complex(g)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise OutOfDomain("formal-sum generator is not finite")
-    if z == 0 or z == 1:
-        raise OutOfDomain(f"formal-sum generator {z} lies in {{0,1}}")
-    return z
 
 
 def _sort_key(g):
@@ -145,7 +131,7 @@ class FormalSum:
                 raise TypeError(f"coefficient {n!r} is not an integer")
             if n == 0:
                 continue
-            g = _check_generator(g)
+            g = check_domain(g, "formal-sum generator")
             kind = isinstance(g, GaussRational)
             if backend is None:
                 backend = kind
@@ -296,9 +282,7 @@ def five_term(x, y) -> FormalSum:
     Every evaluation of D on it vanishes; delta kills it exactly.
     """
     for v in (x, y):
-        g = exactify(v) if is_exact(v) else complex(v)
-        if g == 0 or g == 1:
-            raise OutOfDomain(f"five_term argument {v!r} lies in {{0,1}}")
+        check_domain(v, "five_term argument")
     try:
         return FormalSum([
             (x, 1),
@@ -421,7 +405,7 @@ def delta_exact(s: FormalSum) -> WedgeElement:
             raise Unsupported("delta_exact requires exact generators")
         vecs.append((n, exponent_vector(g), exponent_vector(1 - g)))
     primes = sorted({p for _, v, u in vecs for p in (*v, *u)},
-                    key=lambda p: (_gi_norm(p), p[0], p[1]))
+                    key=prime_key)
     index = {p: i for i, p in enumerate(primes)}
     b = len(primes)
     m = [[0] * b for _ in range(b)]

@@ -2,9 +2,12 @@
 
 Everything here is generic over the two scalar backends: points at
 infinity are handled through homogeneous coordinates, never by affine
-special cases, and all degeneracy predicates are exact zero tests in the
-exact backend and scale-relative thresholds (DEGENERACY_TOL) in the float
-backend.
+special cases.  Every degeneracy predicate of the package -- a vanishing
+pairing, determinant, minor or Hermitian norm -- is one zero test,
+negligible(value, *operands): exact zero in the exact backend; in float,
+|value| at most DEGENERACY_TOL times the product of the Euclidean norms
+of the operands the value is multilinear in, so that rescaling a
+homogeneous representative never changes the answer.
 """
 
 from __future__ import annotations
@@ -12,24 +15,22 @@ from __future__ import annotations
 import math
 
 from .errors import DegenerateInput, SingularMatrix
-from .scalars import (is_exact, normalize_values, scalar_is_zero, to_complex)
+from .scalars import is_exact, normalize_values, scalar_is_zero, to_complex
 from .tolerances import DEGENERACY_TOL
 
 
-def _norm2(values) -> float:
-    # only meaningful for float tolerances; huge exact entries may not
-    # fit a double, and their scale is irrelevant anyway
-    try:
-        return math.sqrt(sum(abs(to_complex(v)) ** 2 for v in values))
-    except OverflowError:
-        return math.inf
+def negligible(value, *operands) -> bool:
+    """The zero test: exact in the exact backend, relative in float.
 
-
-def _is_negligible(value, scale) -> bool:
-    """Zero test: exact in the exact backend, relative in float."""
+    In float, value is compared with DEGENERACY_TOL times the product of
+    the operands' Euclidean norms; the exact backend computes no norm.
+    """
     if is_exact(value):
-        return scalar_is_zero(value)
-    return abs(to_complex(value)) <= DEGENERACY_TOL * scale
+        return value == 0
+    scale = 1.0
+    for v in operands:
+        scale *= math.sqrt(sum(abs(c) ** 2 for c in v))
+    return abs(value) <= DEGENERACY_TOL * (scale + 1e-300)
 
 
 class ProjPoint1:
@@ -54,8 +55,7 @@ class ProjPoint1:
 
     def same_point(self, other: "ProjPoint1") -> bool:
         d = self.a * other.b - other.a * self.b
-        return _is_negligible(d, _norm2((self.a, self.b))
-                              * _norm2((other.a, other.b)) + 1e-300)
+        return negligible(d, (self.a, self.b), (other.a, other.b))
 
     def __repr__(self):
         return f"[{self.a} : {self.b}]"
@@ -106,20 +106,16 @@ def det3(c1, c2, c3):
 
 def triple_is_degenerate(c1, c2, c3) -> bool:
     """True when det(c1,c2,c3) vanishes (scale-relative in float)."""
-    d = det3(c1, c2, c3)
-    scale = _norm2(c1) * _norm2(c2) * _norm2(c3) + 1e-300
-    return _is_negligible(d, scale)
+    return negligible(det3(c1, c2, c3), c1, c2, c3)
 
 
 def pairing_is_zero(u, x) -> bool:
-    return _is_negligible(vdot(u, x), _norm2(u) * _norm2(x) + 1e-300)
+    return negligible(vdot(u, x), u, x)
 
 
 def proportional(u, v) -> bool:
     """Scale equivalence of two nonzero triples."""
-    c = vcross(u, v)
-    scale = _norm2(u) * _norm2(v) + 1e-300
-    return all(_is_negligible(ci, scale) for ci in c)
+    return all(negligible(c, u, v) for c in vcross(u, v))
 
 
 class Mat3:
@@ -162,8 +158,7 @@ class Mat3:
 
     def inverse(self) -> "Mat3":
         d = self.det()
-        scale = math.prod(_norm2(r) for r in self.rows) + 1e-300
-        if _is_negligible(d, scale):
+        if negligible(d, *self.rows):
             raise SingularMatrix("matrix determinant is zero")
         r = self.rows
         cof = [[0] * 3 for _ in range(3)]
@@ -196,7 +191,7 @@ def restrict_to_p1(points):
         if best is None or size > best_size:
             best, best_size = (r, s, m), size
     r, s, m = best
-    if _is_negligible(m, _norm2(u) * _norm2(v) + 1e-300):
+    if negligible(m, u, v):
         raise DegenerateInput("basis points of the line coincide")
     out = []
     for p in points:

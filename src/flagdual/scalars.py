@@ -15,11 +15,12 @@ silently coercing.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re as _re
 from fractions import Fraction
 
-from .errors import BackendMismatch, ParseError
+from .errors import BackendMismatch, OutOfDomain, ParseError
 
 _EXACT_OK = (int, Fraction)
 
@@ -148,9 +149,6 @@ class GaussRational:
         return format_exact(self)
 
 
-I_EXACT = GaussRational(0, 1)
-
-
 # -- backend dispatch --------------------------------------------------------
 
 def is_exact(x) -> bool:
@@ -168,8 +166,6 @@ def exactify(x) -> GaussRational:
 
 def to_complex(x) -> complex:
     """Explicit conversion to binary64 complex (works for both backends)."""
-    if isinstance(x, GaussRational):
-        return complex(x)
     return complex(x)
 
 
@@ -180,6 +176,22 @@ def conj(x):
     if isinstance(x, _EXACT_OK):
         return x
     return x.conjugate() if isinstance(x, complex) else complex(x).conjugate()
+
+
+def check_domain(z, what):
+    """z in its backend's normal form, if it is a finite point of C
+    minus {0, 1}; otherwise OutOfDomain, naming the value as `what`."""
+    if is_exact(z):
+        z = exactify(z)
+        if z.is_zero() or z == 1:
+            raise OutOfDomain(f"{what} = {z} lies in {{0,1}}")
+        return z
+    z = complex(z)
+    if z == 0 or z == 1:
+        raise OutOfDomain(f"{what} = {z} lies in {{0,1}}")
+    if not cmath.isfinite(z):
+        raise OutOfDomain(f"{what} = {z} is not finite")
+    return z
 
 
 def scalar_is_zero(x) -> bool:

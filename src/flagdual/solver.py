@@ -31,6 +31,7 @@ from .complexes import DecoratedComplex, Decoration, check_edges, check_faces
 from .errors import LeftDomain, SolverDiverged, Unsupported
 from .tetra import (CANONICAL_FACES, EVEN_COMPLETION, FACE_OPPOSITE,
                     MINIMAL_EDGES, complete_from_minimal, face_class)
+from .tolerances import CGLS_RTOL
 
 DOMAIN_RADIUS = 1e-8  # forbidden disks around 0 and 1
 ARMIJO_C1 = 1e-4
@@ -38,9 +39,7 @@ ARMIJO_C1 = 1e-4
 # Largest unknown count solved by the dense SVD step; measured crossover
 # against CGLS on perturbed cyclic covers (see CHANGES.md).
 DENSE_MAX_UNKNOWNS = 64
-# CGLS stopping rule: relative size of the normal-equation residual, and
-# an iteration budget per unknown (see cgls)
-CGLS_RTOL = 1e-12
+# CGLS iteration budget per unknown (see cgls)
 CGLS_MAX_ITER_FACTOR = 4
 
 # factor tags: the three vertex-relation shapes of a minimal coordinate m

@@ -19,16 +19,15 @@ quoted in the README since they are the single most error-prone convention.
 
 from __future__ import annotations
 
-import math
 from itertools import permutations
 from typing import NamedTuple
 
 from .errors import DegenerateInput, NotVeryGeneric, OutOfDomain
 from .flags import Flag, FlagTuple
 from .prebloch import FormalSum, eval_D
-from .projective import _is_negligible, _norm2, det3, vdot
-from .scalars import (conj, is_exact, nearly_equal, normalize_values,
-                      scalar_is_zero)
+from .projective import det3, negligible, vdot
+from .scalars import (check_domain, conj, is_exact, nearly_equal,
+                      normalize_values, scalar_is_zero)
 from .tolerances import VALIDATION_TOL, VERY_GENERIC_TOL
 
 VERTICES = (1, 2, 3, 4)
@@ -90,17 +89,6 @@ class MinimalCoords(NamedTuple):
 MINIMAL_EDGES = ((1, 2), (2, 1), (3, 4), (4, 3))
 
 
-def _check_domain(z, what):
-    if is_exact(z):
-        if z == 0 or z == 1:
-            raise OutOfDomain(f"{what} = {z} lies in {{0,1}}")
-        return
-    w = complex(z)
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)) \
-            or w == 0 or w == 1:
-        raise OutOfDomain(f"{what} = {w} lies in {{0,1}} (or is not finite)")
-
-
 def _relation_holds(lhs, rhs) -> bool:
     if is_exact(lhs):
         return lhs == rhs
@@ -134,7 +122,7 @@ class TetraCoords:
         self.edge = {k: edge[k] for k in EVEN_COMPLETION}
         self.face = {k: face[k] for k in CANONICAL_FACES}
         for key, z in self.edge.items():
-            _check_domain(z, f"edge coordinate z{key[0]}{key[1]}")
+            check_domain(z, f"edge coordinate z{key[0]}{key[1]}")
         for key, z in self.face.items():
             if scalar_is_zero(z):
                 raise OutOfDomain(f"face coordinate {key} is zero")
@@ -232,8 +220,7 @@ def triple_ratio(f1: Flag, f2: Flag, f3: Flag):
         for b in range(3):
             if a != b:
                 v = vdot(flags[a].line, flags[b].point)
-                scale = _norm2(flags[a].line) * _norm2(flags[b].point) + 1e-300
-                if _is_negligible(v, scale):
+                if negligible(v, flags[a].line, flags[b].point):
                     raise DegenerateInput(
                         f"triple_ratio pairing f{a + 1}(x{b + 1}) vanishes")
                 vals[(a, b)] = v
@@ -259,17 +246,15 @@ def edge_coords(t: FlagTuple) -> TetraCoords:
         for j in VERTICES:
             if i != j:
                 v = vdot(f[i], x[j])
-                if _is_negligible(v, _norm2(f[i]) * _norm2(x[j]) + 1e-300):
+                if negligible(v, f[i], x[j]):
                     raise DegenerateInput(f"pairing f{i}(x{j}) vanishes")
                 pairings[(i, j)] = v
 
     base_det = {}
     for key in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
-        d = det3(*(x[v] for v in key))
-        scale = 1e-300
-        if not is_exact(d):
-            scale += _norm2(x[key[0]]) * _norm2(x[key[1]]) * _norm2(x[key[2]])
-        if _is_negligible(d, scale):
+        cols = [x[v] for v in key]
+        d = det3(*cols)
+        if negligible(d, *cols):
             raise DegenerateInput(
                 f"points x{key[0]}, x{key[1]}, x{key[2]} are collinear")
         base_det[key] = d
@@ -297,7 +282,7 @@ def complete_from_minimal(m) -> TetraCoords:
     """Fill all 16 coordinates from (z12, z21, z34, z43)."""
     m = MinimalCoords(*normalize_values(tuple(m), "minimal coordinates"))
     for name, z in zip(m._fields, m):
-        _check_domain(z, name)
+        check_domain(z, name)
     edges = {}
     for (i, j), z in zip(MINIMAL_EDGES, m):
         k, l = EVEN_COMPLETION[(i, j)]
@@ -321,7 +306,7 @@ def reconstruct(m) -> FlagTuple:
     """
     m = MinimalCoords(*normalize_values(tuple(m), "minimal coordinates"))
     for name, z in zip(m._fields, m):
-        _check_domain(z, name)
+        check_domain(z, name)
     z12, z21, z34, z43 = m
     one = 1 - (z12 - z12)  # backend-matching 1
     zero = z12 - z12

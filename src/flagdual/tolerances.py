@@ -6,3 +6,5 @@ DEGENERACY_TOL = 1e-10  # zero test of pairings, determinants, null points
 VALIDATION_TOL = 1e-6
 VERY_GENERIC_TOL = 1e-10  # distance of a face coordinate from -1
 MERGE_TOL = 1e-12  # distance below which float generators merge
+CHECK_TOL = 1e-9  # residual |prod - 1| of a face or edge equation
+CGLS_RTOL = 1e-12  # the CGLS step stops at |J^H s| <= CGLS_RTOL |J^H b|

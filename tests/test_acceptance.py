@@ -13,8 +13,8 @@ import numpy as np
 
 from flagdual import (FormalSum, GaussRational, ProjPoint1, beta_defect,
                       beta_tetra, canonicalize_six, check_edges, check_faces,
-                      conjugate_coords, cr_tetrahedron, delta_exact, dilog_D,
-                      dual_coords_closed, dual_coords_matrix, duality_defect,
+                      cr_tetrahedron, delta_exact, dilog_D, dual_coords_closed,
+                      dual_coords_matrix, duality_defect,
                       dualize, edge_coords, eval_D, five_term,
                       heisenberg_null_point, is_very_generic, reconstruct,
                       solve_consistency, veronese_tetrahedron, volume_complex)
@@ -136,7 +136,7 @@ def test_criterion_06_cr_duality_is_conjugation():
         done += 1
         c = edge_coords(t)
         d = dual_coords_closed(c)
-        cc = conjugate_coords(c)
+        cc = c.conjugate()
         for key in c.edge:
             err = abs(complex(d.edge[key]) - complex(cc.edge[key]))
             worst = max(worst, err / (1 + abs(complex(c.edge[key]))))

@@ -247,7 +247,6 @@ def test_corrupted_coordinates_are_domain_errors(tmp_path, capsys):
 
 
 def test_loader_errors_name_the_tetrahedron(tmp_path, capsys):
-    from flagdual.fileio import dump_complex_flags
     f = tmp_path / "bad.json"
 
     def check_fails(data):
@@ -266,8 +265,29 @@ def test_loader_errors_name_the_tetrahedron(tmp_path, capsys):
     assert check_fails(fig8) == (
         1, "error: tetrahedron 1: malformed coordinate record: (2, 4, 3)\n")
 
-    double = dump_complex_flags(twisted_double_complex())
+    double = dump_complex(twisted_double_complex(), keep_flags=True)
     # still incident, but the first line now passes through x4
     double["decoration"]["data"][1][0]["line"] = ["1", "0", "-1"]
     assert check_fails(double) == (
         2, "error: tetrahedron 1: pairing f1(x4) vanishes\n")
+
+
+def test_malformed_flag_records_are_parse_errors(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+
+    def check_fails(data):
+        f.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "check", str(f))
+        return code, err
+
+    double = dump_complex(twisted_double_complex(), keep_flags=True)
+    double["decoration"]["data"][1][2]["point"] = ["1", "0"]
+    code, err = check_fails(double)
+    assert code == 1
+    assert err.startswith("error: tetrahedron 1: flag point and line need "
+                          "three scalars each: ")
+
+    double = dump_complex(twisted_double_complex(), keep_flags=True)
+    double["decoration"]["data"][1] = 5
+    assert check_fails(double) == (
+        1, "error: tetrahedron 1: each tetrahedron needs exactly four flags\n")

@@ -10,7 +10,7 @@ from flagdual import (DecoratedComplex, Decoration, FacePairing,
                       canonicalize_six, check_edges, check_faces,
                       complete_from_minimal, conjugate_complex, delta_exact,
                       dilog_D, dualize, duality_defect, eval_D, is_consistent,
-                      volume_complex)
+                      very_generic, volume_complex)
 from flagdual.bundled import (GEOMETRIC_SHAPE, cr_complex,
                               figure_eight_complex,
                               figure_eight_triangulation, hyperbolic_complex,
@@ -263,7 +263,7 @@ def test_cr_complex_loads_and_measures():
     assert dc.decoration.flag_tuples is not None
     assert not dc.decoration.exact
     # CR tetrahedra are very generic
-    assert all(dc.decoration.very_generic_flags())
+    assert all(very_generic(c) for c in dc.coords)
 
 
 def test_hyperbolic_complex_real_volume_zero():

@@ -1,0 +1,22 @@
+"""Package layering: modules share only their public names."""
+
+import ast
+from pathlib import Path
+
+import flagdual
+
+PACKAGE = Path(flagdual.__file__).parent
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = "." * node.level + (node.module or "")
+            if node.level or source.split(".")[0] == "flagdual":
+                found += [f"{path.name}: {alias.name} from {source}"
+                          for alias in node.names
+                          if alias.name.startswith("_")]
+    assert not found

@@ -1,12 +1,15 @@
 """Cross-ratio and 3x3 linear algebra."""
 
+import math
 import random
 
 import pytest
 
-from flagdual import GaussRational, Mat3, ProjPoint1, cross_ratio
-from flagdual.errors import DegenerateInput, SingularMatrix
-from flagdual.projective import restrict_to_p1
+from flagdual import (GaussRational, Mat3, ProjPoint1, cr_flag, cross_ratio,
+                      heisenberg_null_point, normalize_to_standard)
+from flagdual.errors import DegenerateInput, NotOnSphere, SingularMatrix
+from flagdual.projective import (negligible, pairing_is_zero, restrict_to_p1,
+                                 triple_is_degenerate, vcross)
 
 from helpers import (apply_mobius, rand_gauss_rational, rand_mobius_exact,
                      rand_p1_points_exact, rand_pgl3_exact)
@@ -135,3 +138,95 @@ def test_restrict_to_p1_recovers_cross_ratio():
         except DegenerateInput:
             continue  # u, v accidentally proportional
         assert cross_ratio(*coords) == cross_ratio(*params)
+
+
+# -- the float zero test, site by site ------------------------------------------
+#
+# Each site reports whether its zero test fired on an input that is
+# degenerate (eps = 0) or moved eps relative off degeneracy, with one
+# homogeneous operand multiplied by s.  The answer must not depend on s.
+
+def _norm(v):
+    return math.sqrt(sum(abs(c) ** 2 for c in v))
+
+
+def _off(v, eps, k=2):
+    """v with entry k moved by eps |v|."""
+    v = list(v)
+    v[k] += eps * _norm(v)
+    return tuple(v)
+
+
+def _times(s, v):
+    return tuple(s * c for c in v)
+
+
+P1 = (1, 2j, 3)
+P2 = (2 - 1j, 1, 1j)
+P3 = tuple(a + (1 + 1j) * b for a, b in zip(P1, P2))  # on the line P1 P2
+
+
+def _pairing(s, eps):
+    u = (1 + 2j, 3 - 1j, 2j)
+    x = vcross(u, (1, 1j, 2))  # u(x) = 0 exactly
+    return pairing_is_zero(u, _times(s, _off(x, eps, 0)))
+
+
+def _collinear_triple(s, eps):
+    return triple_is_degenerate(P1, P2, _times(s, _off(P3, eps)))
+
+
+def _singular_matrix(s, eps):
+    try:
+        Mat3((P1, P2, _times(s, _off(P3, eps)))).inverse()
+    except SingularMatrix:
+        return True
+    return False
+
+
+def _coincident_p1_points(s, eps):
+    a, b = 2 + 1j, 1 - 3j
+    other = _off(((1 + 1j) * a, (1 + 1j) * b), eps, 0)
+    return ProjPoint1(a, b).same_point(ProjPoint1(*_times(s, other)))
+
+
+def _cr_null_point(s, eps):
+    x = heisenberg_null_point(1 + 2j, 0.5)  # <x, x> = 0 exactly
+    try:
+        cr_flag(_times(s, _off(x, eps)))
+    except NotOnSphere:
+        return False
+    return True
+
+
+def _fourth_point_collinear(s, eps):
+    # the fourth point on the line P1 P2: the Cramer numerator
+    # det(p1, p2, p4) vanishes, p1 carrying the scale
+    pts = [_times(s, P1), P2, (0, 1, 1 + 1j), _off(P3, eps)]
+    try:
+        normalize_to_standard(pts)
+    except DegenerateInput as exc:
+        assert "fourth point" in str(exc)
+        return True
+    return False
+
+
+ZERO_TEST_SITES = {f.__name__[1:]: f for f in (
+    _pairing, _collinear_triple, _singular_matrix, _coincident_p1_points,
+    _cr_null_point, _fourth_point_collinear)}
+
+
+@pytest.mark.parametrize("s", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("site", sorted(ZERO_TEST_SITES))
+def test_float_zero_test_is_scale_relative(site, s):
+    fires = ZERO_TEST_SITES[site]
+    assert fires(s, 0.0), "degenerate input accepted"
+    assert not fires(s, 1e-6), "input 1e-6 off degeneracy rejected"
+
+
+def test_negligible_is_exact_or_relative():
+    # these operands have no norm: an exact value must not look at them
+    assert negligible(GaussRational(0), None)
+    assert not negligible(GaussRational(1, -1), None)
+    assert not negligible(1e-9 + 0j, (1,))
+    assert negligible(1e-9 + 0j, (3e2, 4e2), (1e3,))
