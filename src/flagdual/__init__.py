@@ -7,7 +7,7 @@ from .errors import (BackendMismatch, DegenerateInput, FlagdualError,
                      NotVeryGeneric, OutOfDomain, ParseError, SingularMatrix,
                      SolverDiverged, Unsupported, WSingular)
 from .scalars import (GaussRational, format_exact, parse_exact,
-                      scalar_from_json, scalar_to_json, to_complex)
+                      scalar_from_json, scalar_to_json)
 from .gaussian import (GaussianFactorization, exponent_vector,
                        factor_gauss_int, factor_gaussian, normalize_prime)
 from .projective import Mat3, ProjPoint1, cross_ratio, restrict_to_p1
@@ -26,8 +26,7 @@ from .complexes import (CheckReport, DecoratedComplex, Decoration, EdgeClass,
                         FacePairing, IdealTriangulation, beta_complex,
                         check_edges, check_faces, conjugate_complex, dualize,
                         duality_defect, is_consistent, volume_complex)
-from .solver import (ConsistencySystem, SolveResult,
-                     finite_difference_jacobian, solve_consistency)
+from .solver import ConsistencySystem, SolveResult, solve_consistency
 from .fileio import dump_complex, load_complex, read_complex, write_complex
 from . import bundled
 

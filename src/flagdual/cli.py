@@ -10,9 +10,11 @@
     flagdual defect INPUT
     flagdual solve INPUT [-o FILE] [--tolerance EPS]
 
-Exit status: 0 success, 1 parse/usage error, 2 domain error or failed
-check (the offending tetrahedron/face/edge class is named), 3 solver
-failure.  --json switches stdout to a stable machine-readable encoding.
+Exit status: 0 success, 1 parse error or unreadable file, 2 domain
+error, failed check (the offending tetrahedron/face/edge class is
+named) or usage error (from argparse), 3 solver failure; each package
+error carries its status as ``exit_code``.  --json switches stdout to
+a stable machine-readable encoding.
 """
 
 from __future__ import annotations
@@ -25,21 +27,12 @@ from . import bundled, fileio
 from .complexes import (beta_complex, check_edges, check_faces,
                         conjugate_complex, dualize, duality_defect,
                         volume_complex)
-from .errors import (BackendMismatch, DegenerateInput, LeftDomain,
-                     MalformedPairing, NotOnSphere, NotVeryGeneric,
-                     OutOfDomain, ParseError, SingularMatrix, SolverDiverged,
-                     Unsupported, WSingular)
+from .errors import FlagdualError, ParseError
 from .prebloch import canonicalize_six, eval_D
 from .scalars import parse_exact
 from .solver import solve_consistency
 from .tetra import volume_tetra
 from .tolerances import CHECK_TOL
-
-_PARSE_ERRORS = (ParseError,)
-_DOMAIN_ERRORS = (DegenerateInput, NotVeryGeneric, OutOfDomain, WSingular,
-                  MalformedPairing, BackendMismatch, Unsupported,
-                  NotOnSphere, SingularMatrix)
-_SOLVER_ERRORS = (SolverDiverged, LeftDomain)
 
 
 def _parse_param(text):
@@ -256,15 +249,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except _PARSE_ERRORS as exc:
+    except FlagdualError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _SOLVER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

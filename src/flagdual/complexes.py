@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .duality import defect_pairs, dual_coords_closed
-from .errors import FlagdualError, MalformedPairing
+from .errors import FlagdualError, MalformedPairing, ParseError
 from .prebloch import FormalSum, eval_D
-from .scalars import to_complex
 from .tetra import edge_coords, face_class
 from .tolerances import CHECK_TOL
 
@@ -72,9 +71,21 @@ class FacePairing:
 
     @classmethod
     def from_json(cls, data):
-        face_a = tuple(data["faceA"])
-        face_b = tuple(data["faceB"])
-        vmap = {a: b for a, b in data.get("map", [])}
+        """Decode one pairing record.  A record of the wrong shape is a
+        ParseError; a well-formed one that is not a simplicial gluing is
+        a MalformedPairing."""
+        if not isinstance(data, dict):
+            raise ParseError(f"pairing record is not an object: {data!r}")
+        for key in ("tetA", "faceA", "tetB", "faceB"):
+            if key not in data:
+                raise ParseError(f"pairing record lacks {key!r}")
+        face_a = _int_list(data["faceA"], "faceA")
+        face_b = _int_list(data["faceB"], "faceB")
+        entries = data.get("map", [])
+        if not isinstance(entries, list) or not all(
+                isinstance(e, list) and len(e) == 2 for e in entries):
+            raise ParseError(f"map is not a list of pairs: {entries!r}")
+        vmap = dict(_int_list(e, "map entry") for e in entries)
         if vmap:
             if set(vmap) != set(face_a) or len(set(vmap.values())) != 3 \
                     or set(vmap.values()) != set(face_b):
@@ -86,7 +97,20 @@ class FacePairing:
                 raise MalformedPairing(
                     f"faceB {face_b} is not the ordered image {image} "
                     "of faceA under the map")
-        return cls(int(data["tetA"]), face_a, int(data["tetB"]), face_b)
+        return cls(_json_int(data["tetA"], "tetA"), face_a,
+                   _json_int(data["tetB"], "tetB"), face_b)
+
+
+def _json_int(value, what) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} is not an integer: {value!r}")
+    return value
+
+
+def _int_list(value, what) -> tuple:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} is not a list: {value!r}")
+    return tuple(_json_int(v, what) for v in value)
 
 
 class IdealTriangulation:
@@ -300,7 +324,7 @@ class CheckReport:
 
 
 def _item(label, product, exact) -> CheckItem:
-    residual = abs(to_complex(product) - 1.0)
+    residual = abs(complex(product) - 1.0)
     return CheckItem(label, product,
                      residual, (product == 1) if exact else None)
 
@@ -337,8 +361,8 @@ def check_edges(dc: DecoratedComplex) -> CheckReport:
         pr = 1
         for (tet, i, j) in cls.reverse_members:
             pr = pr * coords[tet].edge_value(i, j)
-        rf = abs(to_complex(pf) - 1.0)
-        rr = abs(to_complex(pr) - 1.0)
+        rf = abs(complex(pf) - 1.0)
+        rr = abs(complex(pr) - 1.0)
         ok = (pf == 1 and pr == 1) if exact else None
         report.items.append(CheckItem(
             f"edge class {n} (size {cls.size})",

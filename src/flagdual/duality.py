@@ -22,7 +22,7 @@ from __future__ import annotations
 from .errors import NotVeryGeneric, WSingular
 from .flags import FlagTuple, is_very_generic, normalize_to_standard
 from .prebloch import FormalSum
-from .scalars import normalize_values, scalar_is_zero
+from .scalars import normalize_values
 from .tetra import (CANONICAL_FACES, EVEN_COMPLETION, MINIMAL_EDGES,
                     MinimalCoords, TetraCoords, complete_from_minimal,
                     edge_coords, very_generic)
@@ -113,7 +113,7 @@ def from_w(w: WCoords) -> MinimalCoords:
     d4 = w13 * w14 - w14 + 1
     for name, d in (("w12*w13*w23+1", d1), ("w13*w23-w23+1", d2),
                     ("w13*w14*w34+1", d3), ("w13*w14-w14+1", d4)):
-        if scalar_is_zero(d):
+        if d == 0:
             raise WSingular(f"w-chart denominator {name} vanishes")
     return MinimalCoords(w12 * d2 / d1, d1 / d2, w34 * d4 / d3, d3 / d4)
 

@@ -2,7 +2,13 @@
 
 
 class FlagdualError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    exit_code is the command-line exit status the error maps to: 1 for
+    unparseable input, 2 for domain errors, 3 for solver failures.
+    """
+
+    exit_code = 2
 
 
 class BackendMismatch(FlagdualError, TypeError):
@@ -11,6 +17,8 @@ class BackendMismatch(FlagdualError, TypeError):
 
 class ParseError(FlagdualError, ValueError):
     """A scalar string or an input file could not be parsed."""
+
+    exit_code = 1
 
 
 class DegenerateInput(FlagdualError, ValueError):
@@ -48,6 +56,8 @@ class MalformedPairing(FlagdualError, ValueError):
 class SolverDiverged(FlagdualError, RuntimeError):
     """Newton iteration failed to reach the residual tolerance."""
 
+    exit_code = 3
+
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
@@ -55,3 +65,5 @@ class SolverDiverged(FlagdualError, RuntimeError):
 
 class LeftDomain(FlagdualError, RuntimeError):
     """A solver iterate entered the forbidden disks around 0 or 1."""
+
+    exit_code = 3

@@ -69,10 +69,17 @@ def load_complex(data: dict, backend: str = "auto") -> DecoratedComplex:
         deco = data["decoration"]
         mode = deco["mode"]
         items = deco["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed complex file: {exc}") from exc
-    triangulation = IdealTriangulation(
-        n, [FacePairing.from_json(p) for p in pairing_data])
+    if not isinstance(pairing_data, list) or not isinstance(items, list):
+        raise ParseError("pairings and decoration data must be JSON lists")
+    pairings = []
+    for k, p in enumerate(pairing_data):
+        try:
+            pairings.append(FacePairing.from_json(p))
+        except ParseError as exc:
+            raise ParseError(f"pairing {k}: {exc}") from exc
+    triangulation = IdealTriangulation(n, pairings)
     if len(items) != n:
         raise ParseError(
             f"decoration has {len(items)} entries for {n} tetrahedra")

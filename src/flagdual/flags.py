@@ -15,8 +15,7 @@ from itertools import combinations
 from .errors import DegenerateInput, NotOnSphere
 from .projective import (Mat3, ProjPoint1, det3, negligible, pairing_is_zero,
                          triple_is_degenerate, vdot)
-from .scalars import (GaussRational, check_same_backend, conj, exactify,
-                      is_exact, normalize_values, scalar_is_zero)
+from .scalars import GaussRational, exactify, is_exact, normalize_values
 
 
 class Flag:
@@ -31,9 +30,9 @@ class Flag:
             raise ValueError("flag needs two triples")
         both = normalize_values(point + line, "flag coordinates")
         point, line = both[:3], both[3:]
-        if all(scalar_is_zero(c) for c in point):
+        if all(c == 0 for c in point):
             raise DegenerateInput("flag point is the zero triple")
-        if all(scalar_is_zero(c) for c in line):
+        if all(c == 0 for c in line):
             raise DegenerateInput("flag line is the zero triple")
         if not pairing_is_zero(line, point):
             raise DegenerateInput(
@@ -45,8 +44,8 @@ class Flag:
         return Flag(self.line, self.point)
 
     def conjugate(self) -> "Flag":
-        return Flag(tuple(conj(c) for c in self.point),
-                    tuple(conj(c) for c in self.line))
+        return Flag(tuple(c.conjugate() for c in self.point),
+                    tuple(c.conjugate() for c in self.line))
 
     def __repr__(self):
         return f"Flag(point={self.point!r}, line={self.line!r})"
@@ -59,9 +58,9 @@ class FlagTuple:
 
     def __init__(self, flags):
         self.flags = tuple(flags)
-        check_same_backend(
-            [c for fl in self.flags for c in fl.point + fl.line],
-            "flag tuple coordinates")
+        # each Flag is in one backend already: one value per flag decides
+        normalize_values([fl.point[0] for fl in self.flags],
+                         "flag tuple coordinates")
 
     def __len__(self):
         return len(self.flags)
@@ -162,21 +161,22 @@ def veronese_tetrahedron(params) -> FlagTuple:
 
 
 def _hermitian_pairing(x, y):
-    """<x, y> = conj(y)^T J x with J the antidiagonal unit matrix."""
-    return conj(y[0]) * x[2] + conj(y[1]) * x[1] + conj(y[2]) * x[0]
+    """<x, y> = y^H J x with J the antidiagonal unit matrix."""
+    return (y[0].conjugate() * x[2] + y[1].conjugate() * x[1]
+            + y[2].conjugate() * x[0])
 
 
 def cr_flag(x) -> Flag:
     """Flag tangent to the null sphere of J at a null point x.
 
     The line is y -> <y, x>, the unique complex line tangent to S^3 at x;
-    its covector is (conj(x2), conj(x1), conj(x0)).
+    its covector is the complex conjugate of (x2, x1, x0).
     """
     x = tuple(x)
     h = _hermitian_pairing(x, x)
     if not negligible(h, x, x):
         raise NotOnSphere(f"<x,x> = {h} != 0")
-    line = (conj(x[2]), conj(x[1]), conj(x[0]))
+    line = (x[2].conjugate(), x[1].conjugate(), x[0].conjugate())
     return Flag(x, line)
 
 

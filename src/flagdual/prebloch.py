@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, OutOfDomain, Unsupported
 from .gaussian import exponent_vector, prime_key
-from .scalars import GaussRational, check_domain, to_complex
+from .scalars import GaussRational, check_domain
 from .tolerances import MERGE_TOL
 
 # The float merge index is a hash grid.  Partners a, b satisfy
@@ -260,7 +260,7 @@ def dilog_D(z) -> float:
 
     D(z) = Im(Li_2(z)) + arg(1-z) log|z|.
     """
-    z = to_complex(z)
+    z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         return 0.0
     if z.imag == 0.0 or z == 0 or z == 1:

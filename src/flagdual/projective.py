@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import DegenerateInput, SingularMatrix
-from .scalars import is_exact, normalize_values, scalar_is_zero, to_complex
+from .scalars import is_exact, normalize_values
 from .tolerances import DEGENERACY_TOL
 
 
@@ -24,12 +24,15 @@ def negligible(value, *operands) -> bool:
 
     In float, value is compared with DEGENERACY_TOL times the product of
     the operands' Euclidean norms; the exact backend computes no norm.
+    The norms are taken by hypot, so no finite operand overflows; a
+    product of norms that does is inf, and every value is negligible
+    against it.
     """
     if is_exact(value):
         return value == 0
     scale = 1.0
     for v in operands:
-        scale *= math.sqrt(sum(abs(c) ** 2 for c in v))
+        scale *= math.hypot(*(t for c in v for t in (c.real, c.imag)))
     return abs(value) <= DEGENERACY_TOL * (scale + 1e-300)
 
 
@@ -40,18 +43,18 @@ class ProjPoint1:
 
     def __init__(self, a, b):
         a, b = normalize_values((a, b), "homogeneous pair")
-        if scalar_is_zero(a) and scalar_is_zero(b):
+        if a == 0 and b == 0:
             raise DegenerateInput("homogeneous pair (0, 0)")
         self.a = a
         self.b = b
 
     @classmethod
     def affine(cls, value):
-        return cls(value, value * 0 + 1)
+        return cls(value, 1)
 
     @classmethod
     def infinity(cls, one=1):
-        return cls(one, one * 0)
+        return cls(one, 0)
 
     def same_point(self, other: "ProjPoint1") -> bool:
         d = self.a * other.b - other.a * self.b
@@ -81,7 +84,7 @@ def cross_ratio(x1: ProjPoint1, x2: ProjPoint1, x3: ProjPoint1,
 
     num = m(x1, x3) * m(x2, x4)
     den = m(x1, x4) * m(x2, x3)
-    if scalar_is_zero(den):
+    if den == 0:
         raise DegenerateInput("cross_ratio denominator vanished")
     return num / den
 
@@ -113,11 +116,6 @@ def pairing_is_zero(u, x) -> bool:
     return negligible(vdot(u, x), u, x)
 
 
-def proportional(u, v) -> bool:
-    """Scale equivalence of two nonzero triples."""
-    return all(negligible(c, u, v) for c in vcross(u, v))
-
-
 class Mat3:
     """An exactly-invertible-when-it-should-be 3x3 matrix of scalars."""
 
@@ -133,8 +131,7 @@ class Mat3:
 
     @classmethod
     def identity(cls, one=1):
-        z = one * 0
-        return cls(((one, z, z), (z, one, z), (z, z, one)))
+        return cls(((one, 0, 0), (0, one, 0), (0, 0, one)))
 
     @classmethod
     def from_columns(cls, c1, c2, c3):
@@ -178,19 +175,18 @@ def restrict_to_p1(points):
 
     The first two points serve as the projective basis; each point
     p = alpha*base1 + beta*base2 maps to [alpha : beta].  Requires at
-    least two points, the first two distinct.
+    least two points, the first two distinct.  The basis 2x2 minor is
+    the first nonzero one in the exact backend and the largest in float.
     """
     if len(points) < 2:
         raise DegenerateInput("need at least two points")
     u, v = points[0], points[1]
-    # pick the coordinate pair where the basis 2x2 minor is most robust
-    best, best_size = None, None
-    for (r, s) in ((0, 1), (0, 2), (1, 2)):
-        m = u[r] * v[s] - u[s] * v[r]
-        size = abs(to_complex(m))
-        if best is None or size > best_size:
-            best, best_size = (r, s, m), size
-    r, s, m = best
+    minors = [(r, s, u[r] * v[s] - u[s] * v[r])
+              for (r, s) in ((0, 1), (0, 2), (1, 2))]
+    if all(is_exact(t[2]) for t in minors):
+        r, s, m = next((t for t in minors if t[2] != 0), minors[0])
+    else:
+        r, s, m = max(minors, key=lambda t: abs(t[2]))
     if negligible(m, u, v):
         raise DegenerateInput("basis points of the line coincide")
     out = []

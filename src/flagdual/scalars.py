@@ -10,7 +10,9 @@ Two backends exist and are never mixed inside one expression:
 Plain ``int``/``Fraction`` values are exact in both backends and may mix
 freely into either.  Combining a :class:`GaussRational` with a ``complex``
 or ``float`` raises :class:`~flagdual.errors.BackendMismatch` instead of
-silently coercing.
+silently coercing.  Every scalar answers ``x == 0``, ``complex(x)`` and
+``x.conjugate()`` itself; :func:`nearly_equal` is the one equality test
+that spans both backends.
 """
 
 from __future__ import annotations
@@ -121,9 +123,6 @@ class GaussRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -164,20 +163,6 @@ def exactify(x) -> GaussRational:
     raise BackendMismatch(f"not an exact scalar: {x!r}")
 
 
-def to_complex(x) -> complex:
-    """Explicit conversion to binary64 complex (works for both backends)."""
-    return complex(x)
-
-
-def conj(x):
-    """Complex conjugation, native in each backend."""
-    if isinstance(x, GaussRational):
-        return x.conjugate()
-    if isinstance(x, _EXACT_OK):
-        return x
-    return x.conjugate() if isinstance(x, complex) else complex(x).conjugate()
-
-
 def check_domain(z, what):
     """z in its backend's normal form, if it is a finite point of C
     minus {0, 1}; otherwise OutOfDomain, naming the value as `what`."""
@@ -194,39 +179,21 @@ def check_domain(z, what):
     return z
 
 
-def scalar_is_zero(x) -> bool:
-    if isinstance(x, GaussRational):
-        return x.is_zero()
-    return x == 0
-
-
-def same_backend(values) -> bool:
-    """True unless both backends occur (ints and Fractions are neutral)."""
-    has_exact = any(isinstance(v, GaussRational) for v in values)
-    has_float = any(
-        isinstance(v, (complex, float)) and not isinstance(v, bool)
-        for v in values)
-    return not (has_exact and has_float)
-
-
-def check_same_backend(values, what="scalars"):
-    if not same_backend(values):
-        raise BackendMismatch(f"mixed exact/float {what}")
-
-
 def normalize_values(values, what="scalars"):
     """Settle a collection into one backend.
 
     Any float/complex present makes the whole collection complex; pure
-    int/Fraction collections become exact.  (Bare ints would otherwise
+    int/Fraction collections become exact; a GaussRational beside a
+    float/complex raises BackendMismatch.  (Bare ints would otherwise
     drift to float through true division.)
     """
     values = tuple(values)
-    check_same_backend(values, what)
     has_float = any(
         isinstance(v, (complex, float)) and not isinstance(v, bool)
         for v in values)
     if has_float:
+        if any(isinstance(v, GaussRational) for v in values):
+            raise BackendMismatch(f"mixed exact/float {what}")
         return tuple(complex(v) for v in values)
     return tuple(exactify(v) for v in values)
 
@@ -248,7 +215,10 @@ def format_exact(x: GaussRational) -> str:
 def _parse_rational(txt: str) -> Fraction:
     if not _re.fullmatch(r"[+-]?\d+(/\d+)?", txt):
         raise ParseError(f"not a rational literal: {txt!r}")
-    return Fraction(txt)
+    try:
+        return Fraction(txt)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator: {txt!r}") from None
 
 
 def parse_exact(s: str) -> GaussRational:
@@ -314,10 +284,14 @@ def scalar_from_json(v, backend: str):
 
 
 def nearly_equal(a, b, tol=1e-12) -> bool:
-    """Backend-aware equality: exact equality or relative float closeness."""
+    """Backend-aware equality: exact equality or relative float closeness.
+
+    Plain int/Fraction values are neutral, as everywhere; only a
+    GaussRational against a float or complex raises BackendMismatch.
+    """
     if is_exact(a) and is_exact(b):
-        return exactify(a) == exactify(b)
-    if is_exact(a) != is_exact(b):
+        return a == b
+    if isinstance(a, GaussRational) or isinstance(b, GaussRational):
         raise BackendMismatch("comparing exact with float scalar")
     za, zb = complex(a), complex(b)
     if not (math.isfinite(za.real) and math.isfinite(za.imag)

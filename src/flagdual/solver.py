@@ -79,7 +79,7 @@ class CooJacobian:
         by_col = np.argsort(cols, kind="stable")
         self._col_start = np.flatnonzero(np.diff(cols[by_col], prepend=-1))
         self._rows_by_col = rows[by_col]
-        self._conj_by_col = np.conj(data[by_col])
+        self._conj_by_col = np.conjugate(data[by_col])
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)
@@ -314,15 +314,3 @@ def solve_consistency(dc: DecoratedComplex, tol=1e-12, max_iter=100,
         f"no convergence within {max_iter} iterations "
         f"(residual {residual:.3e})", residual)
 
-
-def finite_difference_jacobian(system: ConsistencySystem, m,
-                               h=1e-6) -> np.ndarray:
-    """Central differences in each complex coordinate (real step h)."""
-    m = np.asarray(m, dtype=complex)
-    out = np.zeros((len(system.products), len(m)), dtype=complex)
-    for col in range(len(m)):
-        e = np.zeros_like(m)
-        e[col] = h
-        out[:, col] = (system.residuals(m + e)
-                       - system.residuals(m - e)) / (2 * h)
-    return out

@@ -22,12 +22,11 @@ from __future__ import annotations
 from itertools import permutations
 from typing import NamedTuple
 
-from .errors import DegenerateInput, NotVeryGeneric, OutOfDomain
+from .errors import DegenerateInput, NotVeryGeneric, OutOfDomain, ParseError
 from .flags import Flag, FlagTuple
 from .prebloch import FormalSum, eval_D
 from .projective import det3, negligible, vdot
-from .scalars import (check_domain, conj, is_exact, nearly_equal,
-                      normalize_values, scalar_is_zero)
+from .scalars import check_domain, is_exact, nearly_equal, normalize_values
 from .tolerances import VALIDATION_TOL, VERY_GENERIC_TOL
 
 VERTICES = (1, 2, 3, 4)
@@ -89,12 +88,6 @@ class MinimalCoords(NamedTuple):
 MINIMAL_EDGES = ((1, 2), (2, 1), (3, 4), (4, 3))
 
 
-def _relation_holds(lhs, rhs) -> bool:
-    if is_exact(lhs):
-        return lhs == rhs
-    return nearly_equal(lhs, rhs, VALIDATION_TOL)
-
-
 class TetraCoords:
     """All 16 coordinates of a generic tetrahedron, validated."""
 
@@ -124,16 +117,18 @@ class TetraCoords:
         for key, z in self.edge.items():
             check_domain(z, f"edge coordinate z{key[0]}{key[1]}")
         for key, z in self.face.items():
-            if scalar_is_zero(z):
+            if z == 0:
                 raise OutOfDomain(f"face coordinate {key} is zero")
 
     def _validate(self):
         for (i, j), (k, l) in EVEN_COMPLETION.items():
             zij = self.edge[(i, j)]
-            if not _relation_holds(self.edge[(i, k)], 1 / (1 - zij)):
+            if not nearly_equal(self.edge[(i, k)], 1 / (1 - zij),
+                                VALIDATION_TOL):
                 raise DegenerateInput(
                     f"vertex relation broken: z{i}{k} != 1/(1-z{i}{j})")
-            if not _relation_holds(self.edge[(i, l)], 1 - 1 / zij):
+            if not nearly_equal(self.edge[(i, l)], 1 - 1 / zij,
+                                VALIDATION_TOL):
                 raise DegenerateInput(
                     f"vertex relation broken: z{i}{l} != 1-1/z{i}{j}")
         for i in VERTICES:
@@ -141,13 +136,13 @@ class TetraCoords:
             for j in VERTICES:
                 if j != i:
                     prod = prod * self.edge[(i, j)]
-            if not _relation_holds(prod, -1 + 0 * prod):
+            if not nearly_equal(prod, -1, VALIDATION_TOL):
                 raise DegenerateInput(f"vertex product at {i} is not -1")
         for f in CANONICAL_FACES:
             i, j, k = f
             l = FACE_OPPOSITE[f]
             rhs = -(self.edge[(i, l)] * self.edge[(j, l)] * self.edge[(k, l)])
-            if not _relation_holds(self.face[f], rhs):
+            if not nearly_equal(self.face[f], rhs, VALIDATION_TOL):
                 raise DegenerateInput(
                     f"face relation broken at {f}: z_ijk != -z_il z_jl z_kl")
 
@@ -171,17 +166,13 @@ class TetraCoords:
 
     def conjugate(self) -> "TetraCoords":
         return TetraCoords._derived(
-            {k: conj(v) for k, v in self.edge.items()},
-            {k: conj(v) for k, v in self.face.items()})
+            {k: v.conjugate() for k, v in self.edge.items()},
+            {k: v.conjugate() for k, v in self.face.items()})
 
     def same_as(self, other: "TetraCoords", tol=0.0) -> bool:
         """Exact equality, or closeness when a float tolerance is given."""
-        for k in self.edge:
-            a, b = self.edge[k], other.edge[k]
-            if not (a == b if tol == 0.0 else nearly_equal(a, b, tol)):
-                return False
-        for k in CANONICAL_FACES:
-            a, b = self.face[k], other.face[k]
+        for a, b in zip((*self.edge.values(), *self.face.values()),
+                        (*other.edge.values(), *other.face.values())):
             if not (a == b if tol == 0.0 else nearly_equal(a, b, tol)):
                 return False
         return True
@@ -198,6 +189,8 @@ class TetraCoords:
     @classmethod
     def from_json(cls, data, backend="auto"):
         from .scalars import scalar_from_json
+        if not all(isinstance(data[k], dict) for k in ("edges", "faces")):
+            raise ParseError("edges and faces must be JSON objects")
         edges = {(int(k[0]), int(k[1])): scalar_from_json(v, backend)
                  for k, v in data["edges"].items()}
         faces = {tuple(int(c) for c in k): scalar_from_json(v, backend)
@@ -308,14 +301,12 @@ def reconstruct(m) -> FlagTuple:
     for name, z in zip(m._fields, m):
         check_domain(z, name)
     z12, z21, z34, z43 = m
-    one = 1 - (z12 - z12)  # backend-matching 1
-    zero = z12 - z12
     a = 1 / (1 - z43)
     flags = [
-        Flag((one, zero, zero), (zero, 1 - 1 / z12, -one)),
-        Flag((zero, one, zero), (1 - z21, zero, -one)),
-        Flag((zero, zero, one), (z34, -one, zero)),
-        Flag((one, one, one), (a, 1 - a, -one)),
+        Flag((1, 0, 0), (0, 1 - 1 / z12, -1)),
+        Flag((0, 1, 0), (1 - z21, 0, -1)),
+        Flag((0, 0, 1), (z34, -1, 0)),
+        Flag((1, 1, 1), (a, 1 - a, -1)),
     ]
     return FlagTuple(flags)
 

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from fractions import Fraction
 
+import numpy as np
 from scipy.integrate import quad
 
 from flagdual import (FlagTuple, GaussRational, Mat3, ProjPoint1, bundled,
-                      complete_from_minimal, reconstruct, very_generic)
+                      complete_from_minimal, dump_complex, reconstruct,
+                      very_generic)
 from flagdual.complexes import FacePairing, IdealTriangulation
+from flagdual.projective import negligible, vcross
+from flagdual.scalars import is_exact
 
 
 # -- random exact data ----------------------------------------------------------
@@ -113,6 +118,32 @@ def relabel_tuple(t: FlagTuple, perm) -> FlagTuple:
     return FlagTuple([t[perm[i] - 1] for i in (1, 2, 3, 4)])
 
 
+# -- oracles for projective scale and the solver's Jacobian --------------------
+
+def proportional(u, v) -> bool:
+    """Scale equivalence of two nonzero triples: u x v is negligible.
+
+    The float zero test compares every cross-product component with one
+    threshold, so testing the largest one takes the norms only once.
+    """
+    cross = vcross(u, v)
+    if all(is_exact(c) for c in cross):
+        return all(c == 0 for c in cross)
+    return negligible(max(cross, key=abs), u, v)
+
+
+def finite_difference_jacobian(system, m, h=1e-6) -> np.ndarray:
+    """Central differences in each complex coordinate (real step h)."""
+    m = np.asarray(m, dtype=complex)
+    out = np.zeros((len(system.products), len(m)), dtype=complex)
+    for col in range(len(m)):
+        e = np.zeros_like(m)
+        e[col] = h
+        out[:, col] = (system.residuals(m + e)
+                       - system.residuals(m - e)) / (2 * h)
+    return out
+
+
 # -- quadrature oracle for the dilogarithm --------------------------------------
 
 def dilog_quadrature(z: complex) -> float:
@@ -176,3 +207,40 @@ def cyclic_cover(n, voltages) -> IdealTriangulation:
         FacePairing(2 * s + p.tet_a, p.face_a,
                     2 * ((s + v) % n) + p.tet_b, p.face_b)
         for p, v in zip(base.pairings, voltages) for s in range(n)])
+
+
+# -- malformed input files --------------------------------------------------
+
+JUNK = (5, -1, 0, 2.5, 1e308, True, None, "", "x", "1/0", "i", [], [[]],
+        [1e308, 0], [None, None], {}, {"a": 1})
+
+
+def fuzz_documents() -> dict:
+    """The bundled complexes as file documents: float coordinates
+    (figure8), float flags (cr) and exact coordinates (double)."""
+    return {
+        "figure8": dump_complex(bundled.figure_eight_complex()),
+        "cr": dump_complex(bundled.cr_complex(), keep_flags=True),
+        "double": dump_complex(bundled.twisted_double_complex()),
+    }
+
+
+def _json_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def mutate_json(rng, doc, count):
+    """A copy of doc with count nodes, chosen anywhere below the root,
+    replaced by junk values."""
+    doc = copy.deepcopy(doc)
+    for _ in range(count):
+        *head, last = rng.choice(list(_json_paths(doc)))
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        parent[last] = rng.choice(JUNK)
+    return doc

@@ -20,11 +20,11 @@ from flagdual import (FormalSum, GaussRational, ProjPoint1, beta_defect,
                       solve_consistency, veronese_tetrahedron, volume_complex)
 from flagdual.bundled import figure_eight_complex, twisted_double_complex
 from flagdual.solver import (ConsistencySystem, complex_from_vector,
-                             finite_difference_jacobian, minimal_vector)
+                             minimal_vector)
 from flagdual.tetra import EVEN_COMPLETION
 
-from helpers import (dilog_quadrature, rand_exact_tetra, rand_float_tetra,
-                     rand_gauss_rational)
+from helpers import (dilog_quadrature, finite_difference_jacobian,
+                     rand_exact_tetra, rand_float_tetra, rand_gauss_rational)
 
 FIG8_VOLUME = 2.029883212819307
 D_OMEGA = 1.014941606409653

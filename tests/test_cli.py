@@ -9,7 +9,10 @@ from flagdual import (GaussRational, dump_complex, load_complex, read_complex,
                       write_complex)
 from flagdual.bundled import figure_eight_complex, twisted_double_complex
 from flagdual.cli import main
-from flagdual.errors import ParseError
+from flagdual import cli, errors
+from flagdual.errors import FlagdualError, ParseError
+
+from helpers import fuzz_documents, mutate_json
 
 
 def run_cli(capsys, *argv):
@@ -291,3 +294,48 @@ def test_malformed_flag_records_are_parse_errors(tmp_path, capsys):
     double["decoration"]["data"][1] = 5
     assert check_fails(double) == (
         1, "error: tetrahedron 1: each tetrahedron needs exactly four flags\n")
+
+
+EXPECTED_EXIT = {"ParseError": 1, "SolverDiverged": 3, "LeftDomain": 3}
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, FlagdualError)),
+    key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_package_error_exits_with_its_code(cls, capsys, monkeypatch):
+    def fail(args):
+        raise cls("boom")
+    monkeypatch.setitem(cli._COMMANDS, "volume", fail)
+    code, out, err = run_cli(capsys, "volume", "unused.json")
+    assert code == cls.exit_code == EXPECTED_EXIT.get(cls.__name__, 2)
+    assert (out, err) == ("", "error: boom\n")
+
+
+def test_mutated_files_exit_cleanly(tmp_path, capsys):
+    # one or two nodes of a bundled file replaced by junk: every case
+    # ends in exit 0, 1 or 2, never in a traceback
+    rng = random.Random(20)
+    docs = fuzz_documents()
+    f = tmp_path / "mutant.json"
+    for _ in range(300):
+        name = rng.choice(sorted(docs))
+        data = mutate_json(rng, docs[name], rng.randint(1, 2))
+        verb = rng.choice(("check", "volume", "dualize", "beta", "defect"))
+        f.write_text(json.dumps(data))
+        code, _, _ = run_cli(capsys, verb, str(f))
+        assert code in (0, 1, 2), (name, verb, data)
+
+
+def test_malformed_pairings_are_parse_errors_naming_the_pairing(
+        tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    for key, junk in (("faceA", 5), ("map", [[2, 2, 2]]), ("tetB", "1"),
+                      ("faceB", [2, None, 4])):
+        data = dump_complex(figure_eight_complex())
+        data["pairings"][3][key] = junk
+        f.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "check", str(f))
+        assert code == 1
+        assert err.startswith(f"error: pairing 3: {key}")

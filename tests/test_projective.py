@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from flagdual import (GaussRational, Mat3, ProjPoint1, cr_flag, cross_ratio,
-                      heisenberg_null_point, normalize_to_standard)
+from flagdual import (Flag, GaussRational, Mat3, ProjPoint1, cr_flag,
+                      cross_ratio, heisenberg_null_point,
+                      normalize_to_standard)
 from flagdual.errors import DegenerateInput, NotOnSphere, SingularMatrix
 from flagdual.projective import (negligible, pairing_is_zero, restrict_to_p1,
                                  triple_is_degenerate, vcross)
@@ -140,6 +141,13 @@ def test_restrict_to_p1_recovers_cross_ratio():
         assert cross_ratio(*coords) == cross_ratio(*params)
 
 
+def test_restrict_to_p1_takes_exact_minors_beyond_float_range():
+    big = 10 ** 400
+    pts = [(big, 1, 0), (0, 1, 1), (big, 2, 1), (3 * big, 5, 2)]
+    coords = restrict_to_p1([tuple(map(GaussRational, p)) for p in pts])
+    assert [(p.a, p.b) for p in coords] == [(1, 0), (0, 1), (1, 1), (3, 2)]
+
+
 # -- the float zero test, site by site ------------------------------------------
 #
 # Each site reports whether its zero test fired on an input that is
@@ -222,6 +230,26 @@ def test_float_zero_test_is_scale_relative(site, s):
     fires = ZERO_TEST_SITES[site]
     assert fires(s, 0.0), "degenerate input accepted"
     assert not fires(s, 1e-6), "input 1e-6 off degeneracy rejected"
+
+
+# <x, x> is quadratic in x, so at this scale the value itself overflows
+HUGE_SCALE_SITES = sorted(set(ZERO_TEST_SITES) - {"cr_null_point"})
+
+
+@pytest.mark.parametrize("site", HUGE_SCALE_SITES)
+def test_float_zero_test_takes_huge_finite_operands(site):
+    fires = ZERO_TEST_SITES[site]
+    assert fires(1e300, 0.0), "degenerate input accepted"
+    assert not fires(1e300, 1e-6), "input 1e-6 off degeneracy rejected"
+
+
+def test_incident_flag_with_huge_finite_entry():
+    flag = Flag((1e300, 0, 0), (0, 1, 0))
+    assert flag.point == (1e300, 0, 0)
+    # norms whose product overflows read every value as negligible
+    with pytest.raises(DegenerateInput):
+        normalize_to_standard([(1e200, 0, 0), (0, 1e200, 0), (0, 0, 1e200),
+                               (1, 1, 1)])
 
 
 def test_negligible_is_exact_or_relative():

@@ -19,9 +19,9 @@ from flagdual.bundled import (GEOMETRIC_SHAPE, figure_eight_complex,
 from flagdual.errors import LeftDomain, SolverDiverged, Unsupported
 from flagdual.solver import (C1, C2, DENSE_MAX_UNKNOWNS, ID,
                              ConsistencySystem, cgls, complex_from_vector,
-                             finite_difference_jacobian, minimal_vector)
+                             minimal_vector)
 
-from helpers import cyclic_cover
+from helpers import cyclic_cover, finite_difference_jacobian
 
 
 def _perturbed_figure_eight(scale=1e-3, seed=7):

@@ -15,11 +15,11 @@ from flagdual import (Flag, GaussRational, MinimalCoords,
                       veronese_tetrahedron, volume_tetra)
 from flagdual.errors import DegenerateInput, NotVeryGeneric, OutOfDomain
 from flagdual.flags import normalize_to_standard
-from flagdual.projective import proportional, restrict_to_p1, vcross
+from flagdual.projective import restrict_to_p1, vcross
 from flagdual.tetra import CANONICAL_FACES, EVEN_COMPLETION, FACE_OPPOSITE, \
     face_class, perm_parity
 
-from helpers import (dilog_quadrature, rand_exact_flag_tetra,
+from helpers import (dilog_quadrature, proportional, rand_exact_flag_tetra,
                      rand_exact_tetra, rand_gauss_rational)
 
 
