@@ -170,12 +170,20 @@ def cr_flag(x) -> Flag:
     """Flag tangent to the null sphere of J at a null point x.
 
     The line is y -> <y, x>, the unique complex line tangent to S^3 at x;
-    its covector is the complex conjugate of (x2, x1, x0).
+    its covector is the complex conjugate of (x2, x1, x0).  In float the
+    null test runs on x divided by its largest entry modulus, so that
+    <x, x> cannot overflow; the point and the flag are those of x.
     """
     x = tuple(x)
-    h = _hermitian_pairing(x, x)
-    if not negligible(h, x, x):
-        raise NotOnSphere(f"<x,x> = {h} != 0")
+    y = x
+    if not all(is_exact(c) for c in x):
+        m = max(abs(c) for c in x)
+        if m:
+            y = tuple(c / m for c in x)
+    h = _hermitian_pairing(y, y)
+    if not negligible(h, y, y):
+        what = "<x,x>" if y is x else "<x,x>/max|x_i|^2"
+        raise NotOnSphere(f"{what} = {h} != 0")
     line = (x[2].conjugate(), x[1].conjugate(), x[0].conjugate())
     return Flag(x, line)
 

@@ -13,7 +13,6 @@ integer factorizations of the norms are delegated to sympy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from sympy import factorint
@@ -154,10 +153,8 @@ def factor_gaussian(q):
     q = exactify(q)
     if q.is_zero():
         raise ZeroDivisionError("cannot factor zero")
-    den = q.re.denominator * q.im.denominator // math.gcd(
-        q.re.denominator, q.im.denominator)
-    num = (int(q.re * den), int(q.im * den))
-    return factor_gauss_int(num), factor_gauss_int((den, 0))
+    a, b, d = q.integer_parts()
+    return factor_gauss_int((a, b)), factor_gauss_int((d, 0))
 
 
 def exponent_vector(q) -> dict:

@@ -44,8 +44,10 @@ _HIGH_MANTISSA = 1 / (1 + _LEVEL_SLACK)  # at or above: probe the one over
 
 def _sort_key(g):
     if isinstance(g, GaussRational):
-        return (g.re.numerator, g.re.denominator,
-                g.im.numerator, g.im.denominator)
+        # (re.numerator, re.denominator, im.numerator, im.denominator)
+        a, b, d = g.integer_parts()
+        ga, gb = math.gcd(a, d), math.gcd(b, d)
+        return (a // ga, d // ga, b // gb, d // gb)
     return (g.real, g.imag)
 
 

@@ -12,6 +12,7 @@ homogeneous representative never changes the answer.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .errors import DegenerateInput, SingularMatrix
@@ -26,13 +27,16 @@ def negligible(value, *operands) -> bool:
     the operands' Euclidean norms; the exact backend computes no norm.
     The norms are taken by hypot, so no finite operand overflows; a
     product of norms that does is inf, and every value is negligible
-    against it.
+    against it, a value that overflowed to inf or nan included.
     """
     if is_exact(value):
         return value == 0
     scale = 1.0
     for v in operands:
         scale *= math.hypot(*(t for c in v for t in (c.real, c.imag)))
+    if scale == math.inf and all(cmath.isfinite(c) for v in operands
+                                 for c in v):
+        return True
     return abs(value) <= DEGENERACY_TOL * (scale + 1e-300)
 
 
@@ -175,11 +179,16 @@ def restrict_to_p1(points):
 
     The first two points serve as the projective basis; each point
     p = alpha*base1 + beta*base2 maps to [alpha : beta].  Requires at
-    least two points, the first two distinct.  The basis 2x2 minor is
+    least two points, the first two distinct; the points are settled into
+    one backend first, so int entries stay exact.  The basis 2x2 minor is
     the first nonzero one in the exact backend and the largest in float.
     """
     if len(points) < 2:
         raise DegenerateInput("need at least two points")
+    if any(len(p) != 3 for p in points):
+        raise ValueError("restrict_to_p1 needs point triples")
+    flat = normalize_values([c for p in points for c in p], "collinear points")
+    points = [flat[k:k + 3] for k in range(0, len(flat), 3)]
     u, v = points[0], points[1]
     minors = [(r, s, u[r] * v[s] - u[s] * v[r])
               for (r, s) in ((0, 1), (0, 2), (1, 2))]

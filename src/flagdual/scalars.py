@@ -2,8 +2,11 @@
 
 Two backends exist and are never mixed inside one expression:
 
-* exact  -- Gaussian rationals, pairs of ``fractions.Fraction``; all the
-  polynomial identities of the coordinate geometry hold on the nose here.
+* exact  -- Gaussian rationals (a + b*i)/d, held as three ints in lowest
+  terms (d > 0, gcd(a, b, d) = 1) over one common denominator, so every
+  ring operation ends in a single gcd; all the polynomial identities of
+  the coordinate geometry hold on the nose here.  ``re`` and ``im``
+  read the parts as ``fractions.Fraction``.
 * float  -- plain binary64 ``complex``; used for dilogarithm volumes and
   the Newton solver.
 
@@ -37,76 +40,109 @@ def _as_fraction(x):
 
 
 class GaussRational:
-    """An element of Q(i), stored as exact real and imaginary Fractions."""
+    """An element (a + b*i)/d of Q(i): ints a, b, d with d > 0 and
+    gcd(a, b, d) = 1, so every value has exactly one representation.
 
-    __slots__ = ("re", "im")
+    The three ints are private to this module and never rebound after
+    construction; ``re``/``im`` read the value as Fractions and
+    ``integer_parts`` as the ints.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        if isinstance(re, int) and isinstance(im, int):
+            self._a, self._b, self._d = int(re), int(im), 1
+            return
+        re, im = _as_fraction(re), _as_fraction(im)
+        # over the lcm of the two denominators the triple is reduced
+        d = math.lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def integer_parts(self):
+        """(a, b, d): the value is (a + b*i)/d in lowest terms, d > 0."""
+        return self._a, self._b, self._d
 
     # -- ring operations ---------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, GaussRational):
-            return other
-        if isinstance(other, _EXACT_OK):
-            return GaussRational(other)
-        if isinstance(other, (complex, float)):
-            raise BackendMismatch(
-                "exact scalar combined with float scalar; convert explicitly")
-        return None
+    #
+    # Each operation takes a GaussRational operand as it is and sends any
+    # other through _coerce; each result ends in one gcd (_reduced).
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re + o.re, self.im + o.im)
+        if not isinstance(other, GaussRational):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1,
+                        self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re - o.re, self.im - o.im)
+        if not isinstance(other, GaussRational):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a - other._a, self._b - other._b, d1)
+        return _reduced(self._a * d2 - other._a * d1,
+                        self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return GaussRational(o.re - self.re, o.im - self.im)
+        return _subtract(other, self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re * o.re - self.im * o.im,
-                             self.re * o.im + self.im * o.re)
+        if not isinstance(other, GaussRational):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                        self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRational((self.re * o.re + self.im * o.im) / n,
-                             (self.im * o.re - self.re * o.im) / n)
+        if not isinstance(other, GaussRational):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2, d2 = self._a, self._b, other._a, other._b, other._d
+        if b2 == 0:  # a real divisor needs no norm
+            if a2 == 0:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            if a2 < 0:
+                a1, b1, a2 = -a1, -b1, -a2
+            return _reduced(a1 * d2, b1 * d2, self._d * a2)
+        # times d2 (a2 - b2 i) / (a2^2 + b2^2)
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                        self._d * (a2 * a2 + b2 * b2))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return o.__truediv__(self)
+        return _divide(other, self)
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
@@ -114,32 +150,39 @@ class GaussRational:
     # -- predicates and helpers --------------------------------------------
 
     def conjugate(self):
-        return GaussRational(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """Field norm re^2 + im^2 (a nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b,
+                        self._d * self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, GaussRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, _EXACT_OK):
-            return self.im == 0 and self.re == other
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
+        # equal to hash(Fraction) on real values, as == demands
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(self.re)
         return hash((self.re, self.im))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as Fraction.__float__ does
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
@@ -148,18 +191,60 @@ class GaussRational:
         return format_exact(self)
 
 
+# a reflected operation runs the forward one as a plain function, with
+# no second operator dispatch
+_subtract, _divide = GaussRational.__sub__, GaussRational.__truediv__
+
+
+def _coerce(x):
+    """x as a GaussRational if it is exact; None for a foreign type."""
+    if isinstance(x, GaussRational):
+        return x
+    if isinstance(x, int):
+        return _raw(int(x), 0, 1)  # int(): a bool becomes its int
+    if isinstance(x, Fraction):
+        return _raw(x.numerator, 0, x.denominator)
+    if isinstance(x, (complex, float)):
+        raise BackendMismatch(
+            "exact scalar combined with float scalar; convert explicitly")
+    return None
+
+
+_new_object = object.__new__
+
+
+def _raw(a, b, d):
+    """The GaussRational (a + b*i)/d of a triple already in lowest terms."""
+    z = _new_object(GaussRational)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _reduced(a, b, d):
+    """(a + b*i)/d for any d > 0, reduced by the one gcd of the result."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    z = _new_object(GaussRational)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
 # -- backend dispatch --------------------------------------------------------
+
+_EXACT_TYPES = (GaussRational,) + _EXACT_OK
+
 
 def is_exact(x) -> bool:
     """True for exact scalars (GaussRational, int, Fraction)."""
-    return isinstance(x, (GaussRational,) + _EXACT_OK)
+    return isinstance(x, _EXACT_TYPES)
 
 
 def exactify(x) -> GaussRational:
     if isinstance(x, GaussRational):
         return x
     if isinstance(x, _EXACT_OK):
-        return GaussRational(x)
+        return _coerce(x)
     raise BackendMismatch(f"not an exact scalar: {x!r}")
 
 
@@ -188,6 +273,8 @@ def normalize_values(values, what="scalars"):
     drift to float through true division.)
     """
     values = tuple(values)
+    if all(isinstance(v, GaussRational) for v in values):
+        return values  # already settled: nothing to convert
     has_float = any(
         isinstance(v, (complex, float)) and not isinstance(v, bool)
         for v in values)

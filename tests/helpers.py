@@ -17,6 +17,48 @@ from flagdual.projective import negligible, vcross
 from flagdual.scalars import is_exact
 
 
+# -- reference Gaussian rationals -----------------------------------------------
+
+class FractionPairGauss:
+    """Q(i) as a pair of Fractions with the schoolbook formulas: the
+    oracle that GaussRational's integer-triple arithmetic is checked
+    against."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return FractionPairGauss(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return FractionPairGauss(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return FractionPairGauss(self.re * o.re - self.im * o.im,
+                                 self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        n = o.norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero")
+        return FractionPairGauss((self.re * o.re + self.im * o.im) / n,
+                                 (self.im * o.re - self.re * o.im) / n)
+
+    def conjugate(self):
+        return FractionPairGauss(self.re, -self.im)
+
+    def norm(self):
+        return self.re * self.re + self.im * self.im
+
+    def __eq__(self, o):
+        return self.re == o.re and self.im == o.im
+
+    def __repr__(self):
+        return f"FractionPairGauss({self.re!r}, {self.im!r})"
+
+
 # -- random exact data ----------------------------------------------------------
 
 def rand_fraction(rng, span=9):

@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flagdual import (FormalSum, GaussRational, ProjPoint1, WCoords,
                       beta_defect, beta_tetra, complete_from_minimal,
                       cross_ratio, dual_coords_closed, dual_coords_matrix,
                       edge_coords, eval_D, from_w, reconstruct, to_w,
-                      veronese_tetrahedron)
+                      very_generic, veronese_tetrahedron)
 from flagdual.duality import W_PAIRS, _dual_edge
 from flagdual.errors import NotVeryGeneric, WSingular
 from flagdual.projective import restrict_to_p1, vcross
@@ -24,6 +26,31 @@ def test_closed_equals_matrix_exactly():
     for _ in range(60):
         m, c = rand_exact_tetra(rng)
         assert dual_coords_closed(c).same_as(dual_coords_matrix(reconstruct(m)))
+
+
+_PART = st.fractions(-9, 9, max_denominator=9)
+_MINIMAL = st.tuples(*[st.builds(GaussRational, _PART, _PART).filter(
+    lambda q: q != 0 and q != 1)] * 4)
+
+
+def _very_generic_coords(m):
+    c = complete_from_minimal(m)
+    assume(very_generic(c))
+    return c
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MINIMAL)
+def test_duality_is_an_involution_property(m):
+    c = _very_generic_coords(m)
+    assert dual_coords_closed(dual_coords_closed(c)).same_as(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MINIMAL)
+def test_closed_equals_matrix_property(m):
+    c = _very_generic_coords(m)
+    assert dual_coords_closed(c).same_as(dual_coords_matrix(reconstruct(m)))
 
 
 def test_closed_equals_matrix_with_huge_rationals():

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import flagdual
+from flagdual import GaussRational
 
 PACKAGE = Path(flagdual.__file__).parent
 
@@ -20,3 +21,15 @@ def test_no_module_imports_a_private_name_of_another():
                           for alias in node.names
                           if alias.name.startswith("_")]
     assert not found
+
+
+def test_only_scalars_reads_the_fields_of_a_gauss_rational():
+    fields = set(GaussRational.__slots__)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in fields:
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert fields and not found

@@ -144,8 +144,14 @@ def test_restrict_to_p1_recovers_cross_ratio():
 def test_restrict_to_p1_takes_exact_minors_beyond_float_range():
     big = 10 ** 400
     pts = [(big, 1, 0), (0, 1, 1), (big, 2, 1), (3 * big, 5, 2)]
-    coords = restrict_to_p1([tuple(map(GaussRational, p)) for p in pts])
-    assert [(p.a, p.b) for p in coords] == [(1, 0), (0, 1), (1, 1), (3, 2)]
+    for given in ([tuple(map(GaussRational, p)) for p in pts], pts):
+        coords = restrict_to_p1(given)
+        assert [(p.a, p.b) for p in coords] == [(1, 0), (0, 1), (1, 1), (3, 2)]
+        # int entries are exact too: they must not drift to float
+        assert all(isinstance(c, GaussRational)
+                   for p in coords for c in (p.a, p.b))
+    with pytest.raises(ValueError):
+        restrict_to_p1([(1, 0, 0), (0, 1)])
 
 
 # -- the float zero test, site by site ------------------------------------------
@@ -232,11 +238,7 @@ def test_float_zero_test_is_scale_relative(site, s):
     assert not fires(s, 1e-6), "input 1e-6 off degeneracy rejected"
 
 
-# <x, x> is quadratic in x, so at this scale the value itself overflows
-HUGE_SCALE_SITES = sorted(set(ZERO_TEST_SITES) - {"cr_null_point"})
-
-
-@pytest.mark.parametrize("site", HUGE_SCALE_SITES)
+@pytest.mark.parametrize("site", sorted(ZERO_TEST_SITES))
 def test_float_zero_test_takes_huge_finite_operands(site):
     fires = ZERO_TEST_SITES[site]
     assert fires(1e300, 0.0), "degenerate input accepted"

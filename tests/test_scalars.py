@@ -1,16 +1,20 @@
 """Exact scalar backend: closure, rejection of mixing, serialization."""
 
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagdual import GaussRational, format_exact, parse_exact
 from flagdual.errors import BackendMismatch, ParseError
 from flagdual.scalars import (nearly_equal, normalize_values,
                               scalar_from_json, scalar_to_json)
 
-from helpers import rand_gauss_rational
+from helpers import FractionPairGauss, rand_gauss_rational
 
 
 def test_field_operations_are_closed_and_exact():
@@ -94,3 +98,74 @@ def test_nearly_equal_semantics():
     assert not nearly_equal(1 + 1e-6 + 0j, 1 + 0j)
     with pytest.raises(BackendMismatch):
         nearly_equal(GaussRational(1), 1 + 0j)
+
+
+# -- properties against the Fraction-pair reference -------------------------------
+
+# small parts collide often enough to exercise ==; wide ones carry gcds
+_RATIONALS = st.one_of(
+    st.fractions(-4, 4, max_denominator=4),
+    st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+              st.integers(1, 2 ** 70)))
+_PARTS = st.tuples(_RATIONALS, _RATIONALS)  # (re, im) of a GaussRational
+_PLAIN = st.one_of(st.integers(-2 ** 70, 2 ** 70), _RATIONALS)
+_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def _pair(v):
+    """(value, reference) for drawn parts or a plain int/Fraction."""
+    if isinstance(v, tuple):
+        return GaussRational(*v), FractionPairGauss(*v)
+    return v, FractionPairGauss(v)
+
+
+def _agrees(x, ref):
+    """x is ref, in lowest terms with a positive denominator."""
+    a, b, d = x.integer_parts()
+    return (d > 0 and math.gcd(a, b, d) == 1
+            and (Fraction(a, d), Fraction(b, d)) == (ref.re, ref.im)
+            and (x.re, x.im) == (ref.re, ref.im))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PARTS, st.one_of(_PARTS, _PLAIN), st.sampled_from(_OPS),
+       st.booleans())
+def test_ring_operations_agree_with_fraction_pairs(x, y, op, swap):
+    (x, rx), (y, ry) = _pair(x), _pair(y)
+    (left, rl), (right, rr) = ((y, ry), (x, rx)) if swap else ((x, rx),
+                                                               (y, ry))
+    if op is operator.truediv and right == 0:
+        with pytest.raises(ZeroDivisionError):
+            op(left, right)
+        return
+    got = op(left, right)
+    assert isinstance(got, GaussRational)
+    assert _agrees(got, op(rl, rr))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PARTS, _PARTS)
+def test_conjugate_norm_and_equality_agree_with_fraction_pairs(x, y):
+    (x, rx), (y, ry) = _pair(x), _pair(y)
+    assert _agrees(x, rx) and _agrees(-x, FractionPairGauss() - rx)
+    assert _agrees(x.conjugate(), rx.conjugate())
+    assert x.norm() == rx.norm()
+    assert (x == y) == (rx == ry)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PLAIN)
+def test_real_values_hash_and_compare_as_their_rational(q):
+    x = GaussRational(q)
+    assert x == q and q == x
+    assert hash(x) == hash(q)
+    assert _agrees(x, FractionPairGauss(q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PARTS)
+def test_format_parse_round_trip_property(x):
+    x = GaussRational(*x)
+    assert parse_exact(format_exact(x)) == x
