@@ -23,7 +23,7 @@ from .complexes import (DecoratedComplex, Decoration, FacePairing,
                         IdealTriangulation)
 from .flags import FlagTuple, cr_tetrahedron, heisenberg_null_point
 from .scalars import GaussRational
-from .tetra import complete_from_minimal, reconstruct
+from .tetra import CANONICAL_FACES, complete_from_minimal, reconstruct
 
 GEOMETRIC_SHAPE = cmath.exp(1j * math.pi / 3)
 
@@ -88,7 +88,6 @@ _SWAP12 = {1: 2, 2: 1, 3: 3, 4: 4}
 def twisted_double_triangulation() -> IdealTriangulation:
     """Two tetrahedra glued along all four faces via the transposition
     swapping vertices 1 and 2 (the double of a simplex)."""
-    from .tetra import CANONICAL_FACES
     pairings = []
     for face in CANONICAL_FACES:
         image = tuple(_SWAP12[v] for v in face)

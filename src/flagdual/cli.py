@@ -14,7 +14,8 @@ Exit status: 0 success, 1 parse error or unreadable file, 2 domain
 error, failed check (the offending tetrahedron/face/edge class is
 named) or usage error (from argparse), 3 solver failure; each package
 error carries its status as ``exit_code``.  --json switches stdout to
-a stable machine-readable encoding.
+a stable machine-readable encoding; every verb that reads INPUT takes
+--backend, and no verb takes an option it does not read.
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ def _cmd_check(args):
     ok = faces.passed(tol) and edges.passed(tol)
     if args.json:
         print(json.dumps({
-            "faces": faces.to_json(),
-            "edges": edges.to_json(),
+            "faces": fileio.report_to_json(faces),
+            "edges": fileio.report_to_json(edges),
             "tolerance": tol,
             "pass": ok,
         }))
@@ -147,7 +148,8 @@ def _cmd_beta(args):
     b = beta_complex(dc)
     d = eval_D(b)
     if args.json:
-        print(json.dumps({"beta": b.to_json(), "D": d, "volume": d / 4.0}))
+        print(json.dumps({"beta": fileio.sum_to_json(b), "D": d,
+                          "volume": d / 4.0}))
     else:
         print(f"beta(K,z) = {b}")
         print(f"D(beta)   = {d!r}")
@@ -175,8 +177,8 @@ def _cmd_defect(args):
     d = eval_D(raw)
     if args.json:
         print(json.dumps({
-            "defect": raw.to_json(),
-            "canonicalized": canon.to_json(),
+            "defect": fileio.sum_to_json(raw),
+            "canonicalized": fileio.sum_to_json(canon),
             "D": d,
         }))
     else:
@@ -208,17 +210,20 @@ _COMMANDS = {
 }
 
 
-def _common(sub, input_file=True):
-    if input_file:
+def _common(sub, verb):
+    """The shared options, each on the verbs that read it."""
+    if verb != "example":
         sub.add_argument("input", help="complex JSON file")
-    sub.add_argument("--backend", choices=("auto", "exact", "float"),
-                     default="auto",
-                     help="scalar backend for loading (default: follow file)")
-    sub.add_argument("--tolerance", type=float, default=CHECK_TOL,
-                     help="residual tolerance (default 1e-9)")
+        sub.add_argument("--backend", choices=("auto", "exact", "float"),
+                         default="auto", help="scalar backend for loading "
+                                              "(default: follow file)")
+    if verb in ("check", "solve"):
+        sub.add_argument("--tolerance", type=float, default=CHECK_TOL,
+                         help="residual tolerance (default 1e-9)")
     sub.add_argument("--json", action="store_true",
                      help="machine-readable stdout")
-    sub.add_argument("-o", "--output", help="write resulting complex here")
+    if verb not in ("check", "beta", "volume", "defect"):
+        sub.add_argument("-o", "--output", help="write resulting complex here")
 
 
 def build_parser():
@@ -231,7 +236,7 @@ def build_parser():
     ex.add_argument("name", choices=("figure8", "hyperbolic", "cr", "double"))
     ex.add_argument("--param", help="shape parameter for 'hyperbolic' "
                                     "(exact 'a/b+c/d*i' or complex '1+2j')")
-    _common(ex, input_file=False)
+    _common(ex, "example")
     for verb, help_text in (
             ("coords", "measure coordinates (flags files become coords)"),
             ("dualize", "apply the duality involution to the decoration"),
@@ -241,7 +246,7 @@ def build_parser():
             ("volume", "volumes of the tetrahedra and the complex"),
             ("defect", "duality defect, canonicalized, with D value"),
             ("solve", "Newton-solve the consistency equations")):
-        _common(subs.add_parser(verb, help=help_text))
+        _common(subs.add_parser(verb, help=help_text), verb)
     return ap
 
 

@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .duality import defect_pairs, dual_coords_closed
-from .errors import FlagdualError, MalformedPairing, ParseError
+from .errors import BackendMismatch, FlagdualError, MalformedPairing
 from .prebloch import FormalSum, eval_D
-from .tetra import edge_coords, face_class
+from .tetra import CANONICAL_FACES, edge_coords
 from .tolerances import CHECK_TOL
 
 _VERTICES = (1, 2, 3, 4)
@@ -50,11 +50,6 @@ class FacePairing:
             if len(face) != 3 or len(set(face)) != 3 \
                     or not set(face) <= set(_VERTICES):
                 raise MalformedPairing(f"face triple {face} is not simplicial")
-        try:
-            face_class(*self.face_a)
-            face_class(*self.face_b)
-        except ValueError as exc:
-            raise MalformedPairing(str(exc)) from exc
 
     @property
     def vmap(self) -> dict:
@@ -63,54 +58,6 @@ class FacePairing:
     def face_b_reversed(self):
         b1, b2, b3 = self.face_b
         return (b1, b3, b2)
-
-    def to_json(self):
-        return {"tetA": self.tet_a, "faceA": list(self.face_a),
-                "tetB": self.tet_b, "faceB": list(self.face_b),
-                "map": [[a, b] for a, b in zip(self.face_a, self.face_b)]}
-
-    @classmethod
-    def from_json(cls, data):
-        """Decode one pairing record.  A record of the wrong shape is a
-        ParseError; a well-formed one that is not a simplicial gluing is
-        a MalformedPairing."""
-        if not isinstance(data, dict):
-            raise ParseError(f"pairing record is not an object: {data!r}")
-        for key in ("tetA", "faceA", "tetB", "faceB"):
-            if key not in data:
-                raise ParseError(f"pairing record lacks {key!r}")
-        face_a = _int_list(data["faceA"], "faceA")
-        face_b = _int_list(data["faceB"], "faceB")
-        entries = data.get("map", [])
-        if not isinstance(entries, list) or not all(
-                isinstance(e, list) and len(e) == 2 for e in entries):
-            raise ParseError(f"map is not a list of pairs: {entries!r}")
-        vmap = dict(_int_list(e, "map entry") for e in entries)
-        if vmap:
-            if set(vmap) != set(face_a) or len(set(vmap.values())) != 3 \
-                    or set(vmap.values()) != set(face_b):
-                raise MalformedPairing(
-                    f"vertex map {vmap} is not a bijection "
-                    f"{face_a} -> {face_b}")
-            image = tuple(vmap[a] for a in face_a)
-            if image != face_b:
-                raise MalformedPairing(
-                    f"faceB {face_b} is not the ordered image {image} "
-                    "of faceA under the map")
-        return cls(_json_int(data["tetA"], "tetA"), face_a,
-                   _json_int(data["tetB"], "tetB"), face_b)
-
-
-def _json_int(value, what) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what} is not an integer: {value!r}")
-    return value
-
-
-def _int_list(value, what) -> tuple:
-    if not isinstance(value, list):
-        raise ParseError(f"{what} is not a list: {value!r}")
-    return tuple(_json_int(v, what) for v in value)
 
 
 class IdealTriangulation:
@@ -142,7 +89,6 @@ class IdealTriangulation:
         paired = {(p.tet_a, frozenset(p.face_a)) for p in self.pairings} | \
                  {(p.tet_b, frozenset(p.face_b)) for p in self.pairings}
         out = []
-        from .tetra import CANONICAL_FACES
         for tet in range(self.n):
             for f in CANONICAL_FACES:
                 if (tet, frozenset(f)) not in paired:
@@ -248,7 +194,6 @@ class Decoration:
         self.flag_tuples = tuple(flag_tuples) if flag_tuples else None
         kinds = {c.exact for c in self.coords}
         if len(kinds) > 1:
-            from .errors import BackendMismatch
             raise BackendMismatch("decoration mixes exact and float tetrahedra")
 
     @classmethod
@@ -304,23 +249,10 @@ class CheckReport:
             return all(it.exact_ok for it in self.items)
         return self.max_residual <= tol
 
-    def worst(self):
-        return max(self.items, key=lambda it: it.residual, default=None)
-
     def failures(self, tol=CHECK_TOL):
         if any(it.exact_ok is not None for it in self.items):
             return [it for it in self.items if not it.exact_ok]
         return [it for it in self.items if it.residual > tol]
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "items": [{"label": it.label, "residual": it.residual,
-                       "ok": bool(it.exact_ok) if it.exact_ok is not None
-                       else None}
-                      for it in self.items],
-            "max_residual": self.max_residual,
-        }
 
 
 def _item(label, product, exact) -> CheckItem:

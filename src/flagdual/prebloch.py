@@ -194,16 +194,6 @@ class FormalSum:
 
     __repr__ = __str__
 
-    def to_json(self):
-        from .scalars import scalar_to_json
-        return [{"coeff": n, "gen": scalar_to_json(g)} for g, n in self.terms]
-
-    @classmethod
-    def from_json(cls, data, backend="auto"):
-        from .scalars import scalar_from_json
-        return cls([(scalar_from_json(t["gen"], backend), int(t["coeff"]))
-                    for t in data])
-
 
 # -- Bloch-Wigner dilogarithm -------------------------------------------------
 

@@ -10,8 +10,8 @@ boundary-oriented faces).  Four edge coordinates determine everything:
 * each face coordinate is minus the product of the three edge
   coordinates pointing at the opposite vertex, z_ijk = -z_il z_jl z_kl.
 
-TetraCoords stores all 16 values.  Its constructor (used by from_json and
-edge_coords) validates these relations; values derived by these formulas
+TetraCoords stores all 16 values.  Its constructor (used by the file loader
+and edge_coords) validates these relations; values derived by these formulas
 skip that check.  The even-permutation bookkeeping is frozen in the module
 tables below (EVEN_COMPLETION and CANONICAL_FACES); the same tables are
 quoted in the README since they are the single most error-prone convention.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import NamedTuple
 
-from .errors import DegenerateInput, NotVeryGeneric, OutOfDomain, ParseError
+from .errors import DegenerateInput, NotVeryGeneric, OutOfDomain
 from .flags import Flag, FlagTuple
 from .prebloch import FormalSum, eval_D
 from .projective import det3, negligible, vdot
@@ -52,7 +52,7 @@ def _build_even_completion():
 
 
 # (i, j) -> (k, l) with (i, j, k, l) an even permutation of (1, 2, 3, 4);
-# its sorted key order is that of TetraCoords.edge, which to_json follows
+# its sorted key order is that of TetraCoords.edge and of the file format
 EVEN_COMPLETION = _build_even_completion()
 
 # boundary-oriented faces: (i, j, k) with (i, j, k, missing) even,
@@ -176,26 +176,6 @@ class TetraCoords:
             if not (a == b if tol == 0.0 else nearly_equal(a, b, tol)):
                 return False
         return True
-
-    def to_json(self):
-        from .scalars import scalar_to_json
-        return {
-            "edges": {f"{i}{j}": scalar_to_json(v)
-                      for (i, j), v in self.edge.items()},
-            "faces": {"".join(map(str, k)): scalar_to_json(v)
-                      for k, v in self.face.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data, backend="auto"):
-        from .scalars import scalar_from_json
-        if not all(isinstance(data[k], dict) for k in ("edges", "faces")):
-            raise ParseError("edges and faces must be JSON objects")
-        edges = {(int(k[0]), int(k[1])): scalar_from_json(v, backend)
-                 for k, v in data["edges"].items()}
-        faces = {tuple(int(c) for c in k): scalar_from_json(v, backend)
-                 for k, v in data["faces"].items()}
-        return cls(edges, faces)
 
     def __repr__(self):
         m = self.minimal()

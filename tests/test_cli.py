@@ -2,12 +2,16 @@
 
 import json
 import random
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flagdual import (GaussRational, dump_complex, load_complex, read_complex,
                       write_complex)
-from flagdual.bundled import figure_eight_complex, twisted_double_complex
+from flagdual.bundled import (cr_complex, figure_eight_complex,
+                              twisted_double_complex)
 from flagdual.cli import main
 from flagdual import cli, errors
 from flagdual.errors import FlagdualError, ParseError
@@ -54,6 +58,43 @@ def test_write_read_file(tmp_path):
     for a, b in zip(dc.coords, again.coords):
         # JSON floats round-trip exactly in Python: bit equality holds
         assert a.same_as(b, tol=0.0)
+
+
+_PART = st.fractions(-9, 9, max_denominator=9)
+_EXACT_MINIMAL = st.tuples(*[st.builds(GaussRational, _PART, _PART)] * 4)
+_FLOAT_MINIMAL = st.tuples(*[st.complex_numbers(
+    min_magnitude=0.2, max_magnitude=5, allow_nan=False,
+    allow_infinity=False)] * 4)
+
+
+def _scalars(dc, keep_flags):
+    """Every coordinate, and every flag entry when the file keeps flags;
+    floats as the hex of both parts, so equal means bit-identical."""
+    values = [v for c in dc.coords for v in (*c.edge.values(),
+                                             *c.face.values())]
+    if keep_flags:
+        values += [v for t in dc.decoration.flag_tuples
+                   for f in t for v in (*f.point, *f.line)]
+    return [v if isinstance(v, GaussRational)
+            else (complex(v).real.hex(), complex(v).imag.hex())
+            for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_EXACT_MINIMAL, _FLOAT_MINIMAL), st.booleans())
+def test_file_round_trip_property(minimal, keep_flags):
+    # dump -> JSON text -> load, on random exact and float decorations,
+    # in coords and in flags mode
+    try:
+        dc = twisted_double_complex(minimal)
+    except FlagdualError:
+        assume(False)
+    text = json.dumps(dump_complex(dc, keep_flags))
+    again = load_complex(json.loads(text))
+    assert again.decoration.exact == dc.decoration.exact
+    assert again.triangulation.pairings == dc.triangulation.pairings
+    assert _scalars(again, keep_flags) == _scalars(dc, keep_flags)
+    assert json.dumps(dump_complex(again, keep_flags)) == text
 
 
 def test_malformed_file_raises_parse_error(tmp_path):
@@ -266,7 +307,8 @@ def test_loader_errors_name_the_tetrahedron(tmp_path, capsys):
     fig8 = json.loads(json.dumps(dump_complex(figure_eight_complex())))
     del fig8["decoration"]["data"][1]["faces"]["243"]
     assert check_fails(fig8) == (
-        1, "error: tetrahedron 1: malformed coordinate record: (2, 4, 3)\n")
+        1, 'error: decoration.data[1].faces: expected the keys '
+           '["123", "243", "134", "142"], got ["123", "134", "142"]\n')
 
     double = dump_complex(twisted_double_complex(), keep_flags=True)
     # still incident, but the first line now passes through x4
@@ -287,13 +329,13 @@ def test_malformed_flag_records_are_parse_errors(tmp_path, capsys):
     double["decoration"]["data"][1][2]["point"] = ["1", "0"]
     code, err = check_fails(double)
     assert code == 1
-    assert err.startswith("error: tetrahedron 1: flag point and line need "
-                          "three scalars each: ")
+    assert err == ('error: decoration.data[1][2].point: expected a list of '
+                   '3 scalars, got ["1", "0"]\n')
 
     double = dump_complex(twisted_double_complex(), keep_flags=True)
     double["decoration"]["data"][1] = 5
     assert check_fails(double) == (
-        1, "error: tetrahedron 1: each tetrahedron needs exactly four flags\n")
+        1, "error: decoration.data[1]: expected a list of 4 flags, got 5\n")
 
 
 EXPECTED_EXIT = {"ParseError": 1, "SolverDiverged": 3, "LeftDomain": 3}
@@ -313,6 +355,12 @@ def test_every_package_error_exits_with_its_code(cls, capsys, monkeypatch):
     assert (out, err) == ("", "error: boom\n")
 
 
+# a parse error names the JSON path of the bad node, or the unreadable file
+_NAMED_PARSE_ERROR = re.compile(
+    r"error: (cannot read |(top level|tetrahedra|pairings|decoration)"
+    r"[\w\[\].]*: )")
+
+
 def test_mutated_files_exit_cleanly(tmp_path, capsys):
     # one or two nodes of a bundled file replaced by junk: every case
     # ends in exit 0, 1 or 2, never in a traceback
@@ -324,8 +372,92 @@ def test_mutated_files_exit_cleanly(tmp_path, capsys):
         data = mutate_json(rng, docs[name], rng.randint(1, 2))
         verb = rng.choice(("check", "volume", "dualize", "beta", "defect"))
         f.write_text(json.dumps(data))
-        code, _, _ = run_cli(capsys, verb, str(f))
+        code, _, err = run_cli(capsys, verb, str(f))
         assert code in (0, 1, 2), (name, verb, data)
+        if code == 1:
+            assert _NAMED_PARSE_ERROR.match(err), err
+
+
+def _fig8_doc():
+    return json.loads(json.dumps(dump_complex(figure_eight_complex())))
+
+
+def _cr_doc():
+    return dump_complex(cr_complex(), keep_flags=True)
+
+
+def _rename_key(mapping, old, new):
+    mapping[new] = mapping.pop(old)
+
+
+LOOSE_INPUTS = {
+    "count-float": (_fig8_doc, lambda d: d.update(tetrahedra=2.9),
+                    "tetrahedra"),
+    "count-string": (_fig8_doc, lambda d: d.update(tetrahedra="2"),
+                     "tetrahedra"),
+    "count-bool": (_cr_doc, lambda d: d.update(tetrahedra=True),
+                   "tetrahedra"),
+    "edge-key-213": (_fig8_doc, lambda d: _rename_key(
+        d["decoration"]["data"][0]["edges"], "21", "213"),
+        "decoration.data[0].edges"),
+    "unknown-face-key": (_fig8_doc, lambda d: d["decoration"]["data"][0][
+        "faces"].update({"231": [1.0, 0.0]}), "decoration.data[0].faces"),
+    "point-object": (_cr_doc, lambda d: d["decoration"]["data"][0][0].update(
+        point={"a": 1}), "decoration.data[0][0].point"),
+    "point-string": (_cr_doc, lambda d: d["decoration"]["data"][0][0].update(
+        point="abc"), "decoration.data[0][0].point"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOSE_INPUTS))
+def test_loader_rejects_loose_inputs(case, tmp_path, capsys):
+    make, mutate, path = LOOSE_INPUTS[case]
+    data = make()
+    mutate(data)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "volume", str(f))
+    assert code == 1
+    assert err.startswith(f"error: {path}: ")
+
+
+def test_mixed_backend_records_are_domain_errors(tmp_path, capsys):
+    # an exact literal in a float record exits 2, in coords as in flags
+    f = tmp_path / "mixed.json"
+    data = _fig8_doc()
+    data["decoration"]["data"][0]["edges"]["12"] = "2"
+    f.write_text(json.dumps(data))
+    assert run_cli(capsys, "check", str(f)) == (
+        2, "", "error: tetrahedron 0: mixed exact/float tetra coordinates\n")
+    data = _cr_doc()
+    data["decoration"]["data"][0][0]["point"][0] = "1"
+    f.write_text(json.dumps(data))
+    assert run_cli(capsys, "check", str(f)) == (
+        2, "", "error: tetrahedron 0: mixed exact/float flag coordinates\n")
+
+
+UNREAD_OPTIONS = [
+    ("example", "--backend", "exact"), ("example", "--tolerance", "1e-3"),
+    *[(verb, "--tolerance", "1e-3")
+      for verb in ("coords", "dualize", "conjugate")],
+    ("check", "-o", "out.json"),
+    *[(verb, option, value) for verb in ("beta", "volume", "defect")
+      for option, value in (("--tolerance", "1e-3"), ("-o", "out.json"))],
+]
+
+
+@pytest.mark.parametrize("verb,option,value", UNREAD_OPTIONS)
+def test_each_verb_takes_only_the_options_it_reads(verb, option, value,
+                                                   tmp_path, capsys):
+    f = tmp_path / "fig8.json"
+    write_complex(f, figure_eight_complex())
+    target = "figure8" if verb == "example" else str(f)
+    if option == "-o":
+        value = str(tmp_path / value)
+    with pytest.raises(SystemExit) as exc:
+        main([verb, target, option, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_malformed_pairings_are_parse_errors_naming_the_pairing(
@@ -338,4 +470,5 @@ def test_malformed_pairings_are_parse_errors_naming_the_pairing(
         f.write_text(json.dumps(data))
         code, _, err = run_cli(capsys, "check", str(f))
         assert code == 1
-        assert err.startswith(f"error: pairing 3: {key}")
+        assert err.startswith(f"error: pairings[3].{key}")
+

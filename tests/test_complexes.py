@@ -9,8 +9,9 @@ from flagdual import (DecoratedComplex, Decoration, FacePairing,
                       GaussRational, IdealTriangulation, beta_complex,
                       canonicalize_six, check_edges, check_faces,
                       complete_from_minimal, conjugate_complex, delta_exact,
-                      dilog_D, dualize, duality_defect, eval_D, is_consistent,
-                      very_generic, volume_complex)
+                      dilog_D, dualize, duality_defect, dump_complex, eval_D,
+                      is_consistent, load_complex, very_generic,
+                      volume_complex)
 from flagdual.bundled import (GEOMETRIC_SHAPE, cr_complex,
                               figure_eight_complex,
                               figure_eight_triangulation, hyperbolic_complex,
@@ -54,10 +55,14 @@ def test_figure_eight_edge_classes():
 def test_malformed_pairings_rejected():
     with pytest.raises(MalformedPairing):
         FacePairing(0, (1, 2, 2), 1, (1, 2, 3))
-    with pytest.raises(MalformedPairing):
-        FacePairing.from_json({"tetA": 0, "faceA": [1, 2, 3],
-                               "tetB": 1, "faceB": [1, 2, 3],
-                               "map": [[1, 1], [2, 1], [3, 3]]})
+    # well-shaped file records that are not simplicial gluings
+    for key, value in (("map", [[1, 1], [2, 1], [3, 3]]),
+                       ("faceA", [1, 2, 5]), ("faceB", [1, 1, 3])):
+        data = dump_complex(figure_eight_complex())
+        data["pairings"] = [{"tetA": 0, "faceA": [1, 2, 3],
+                             "tetB": 1, "faceB": [1, 2, 3], key: value}]
+        with pytest.raises(MalformedPairing):
+            load_complex(data)
     with pytest.raises(MalformedPairing):
         IdealTriangulation(1, [FacePairing(0, (1, 2, 3), 0, (2, 1, 3))])
     # one face in two pairings

@@ -33,3 +33,32 @@ def test_only_scalars_reads_the_fields_of_a_gauss_rational():
             if isinstance(node, ast.Attribute) and node.attr in fields:
                 found.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert fields and not found
+
+
+def _package_modules(node):
+    """The package modules an import statement reads from."""
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if not node.level:
+            if module.split(".")[0] != "flagdual":
+                return set()
+            module = module.partition(".")[2]
+        return {module} if module else {a.name for a in node.names}
+    if isinstance(node, ast.Import):
+        return {a.name.partition(".")[2] for a in node.names
+                if a.name.startswith("flagdual.")}
+    return set()
+
+
+def test_no_function_repeats_an_import_of_its_module():
+    # a lazy import that keeps a module from loading stays allowed
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = set().union(*map(_package_modules, tree.body))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno}: .{module}"
+                          for node in ast.walk(fn)
+                          for module in _package_modules(node) & top]
+    assert not found

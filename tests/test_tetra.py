@@ -240,11 +240,9 @@ def test_beta_and_volume():
     assert abs(volume_tetra(cw) - oracle) < 1e-11
 
 
-def test_minimal_chart_serialization_round_trip():
+def test_minimal_coords_name_the_chart_edges():
     rng = random.Random(58)
     _, c = rand_exact_tetra(rng)
-    again = TetraCoords.from_json(c.to_json())
-    assert again.same_as(c)
     m = MinimalCoords(*c.minimal())
     assert m.z12 == c.edge_value(1, 2)
     assert m.z43 == c.edge_value(4, 3)
