@@ -15,6 +15,11 @@ relations are
 * edge equations: both directed products of edge coordinates around
   every edge class equal 1.
 
+The triangulation owns these equations: one table of rows, built on
+first use and kept (IdealTriangulation.equations).  check_faces and
+check_edges evaluate the rows here in pure Python on either backend;
+the solver turns the same rows into its numpy arrays.
+
 beta sums the four minimal-coordinate generators of every tetrahedron in
 the pre-Bloch group; a quarter of D applied to it is the volume.  The
 duality defect collects [-z_face] over all faces of all tetrahedra; after
@@ -24,7 +29,10 @@ exactly the boundary contribution to beta(K,z) - beta(K,z*).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import permutations
 
 from .duality import defect_pairs, dual_coords_closed
 from .errors import BackendMismatch, FlagdualError, MalformedPairing
@@ -33,6 +41,9 @@ from .tetra import CANONICAL_FACES, edge_coords
 from .tolerances import CHECK_TOL
 
 _VERTICES = (1, 2, 3, 4)
+# the 12 oriented edges in lexicographic order, and their indices
+_DIRECTED = tuple(permutations(_VERTICES, 2))
+_EDGE_ID = {e: k for k, e in enumerate(_DIRECTED)}
 
 
 @dataclass(frozen=True)
@@ -55,69 +66,49 @@ class FacePairing:
     def vmap(self) -> dict:
         return dict(zip(self.face_a, self.face_b))
 
-    def face_b_reversed(self):
-        b1, b2, b3 = self.face_b
-        return (b1, b3, b2)
-
 
 class IdealTriangulation:
-    """N tetrahedra plus face pairings; every face pairs at most once."""
+    """N tetrahedra plus face pairings; every face pairs at most once.
+    Edge orbits and gluing equations are built on first use and kept."""
 
     def __init__(self, n_tetrahedra: int, pairings):
         if n_tetrahedra < 0:
             raise MalformedPairing("negative tetrahedron count")
         self.n = int(n_tetrahedra)
         self.pairings = tuple(pairings)
-        seen = set()
+        self._paired = set()
         for p in self.pairings:
             for tet, face in ((p.tet_a, p.face_a), (p.tet_b, p.face_b)):
                 if not 0 <= tet < self.n:
                     raise MalformedPairing(
                         f"tetrahedron index {tet} out of range 0..{self.n - 1}")
                 key = (tet, frozenset(face))
-                if key in seen:
+                if key in self._paired:
                     raise MalformedPairing(
                         f"face {sorted(face)} of tetrahedron {tet} "
                         "appears in two pairings")
-                seen.add(key)
+                self._paired.add(key)
             if (p.tet_a, frozenset(p.face_a)) == (p.tet_b, frozenset(p.face_b)):
                 raise MalformedPairing(
                     "a face cannot be paired with itself")
 
     def boundary_faces(self):
         """(tet, canonical face triple) for every unpaired face."""
-        paired = {(p.tet_a, frozenset(p.face_a)) for p in self.pairings} | \
-                 {(p.tet_b, frozenset(p.face_b)) for p in self.pairings}
-        out = []
-        for tet in range(self.n):
-            for f in CANONICAL_FACES:
-                if (tet, frozenset(f)) not in paired:
-                    out.append((tet, f))
-        return out
+        return [(tet, f) for tet in range(self.n) for f in CANONICAL_FACES
+                if (tet, frozenset(f)) not in self._paired]
 
     def is_closed(self) -> bool:
         return not self.boundary_faces()
 
-    # -- edge orbits -----------------------------------------------------
+    # -- edge orbits and gluing equations --------------------------------
 
-    def _edge_maps(self):
-        """All gluing-induced maps between oriented edges, both ways."""
-        maps = []
-        for p in self.pairings:
-            mu = p.vmap
-            for a in p.face_a:
-                for b in p.face_a:
-                    if a != b:
-                        maps.append(((p.tet_a, a, b),
-                                     (p.tet_b, mu[a], mu[b])))
-        return maps
-
-    def edge_orbits(self):
-        """Partition of all 12N oriented edges into directed orbits."""
-        parent = {}
+    @cached_property
+    def _edges(self):
+        """(directed orbits, edge classes), by one union-find over the
+        ids 12*tet + k of the oriented edges, k indexing _DIRECTED."""
+        parent = list(range(12 * self.n))
 
         def find(x):
-            parent.setdefault(x, x)
             root = x
             while parent[root] != root:
                 root = parent[root]
@@ -125,41 +116,55 @@ class IdealTriangulation:
                 parent[x], x = root, parent[x]
             return root
 
-        def union(x, y):
-            parent[find(x)] = find(y)
-
-        for tet in range(self.n):
-            for i in _VERTICES:
-                for j in _VERTICES:
-                    if i != j:
-                        find((tet, i, j))
-        for src, dst in self._edge_maps():
-            union(src, dst)
+        for p in self.pairings:
+            mu = p.vmap
+            for a, b in permutations(p.face_a, 2):
+                parent[find(12 * p.tet_a + _EDGE_ID[a, b])] = \
+                    find(12 * p.tet_b + _EDGE_ID[mu[a], mu[b]])
         groups = {}
-        for e in list(parent):
+        for e in range(12 * self.n):
             groups.setdefault(find(e), []).append(e)
-        orbits = [tuple(sorted(g)) for g in groups.values()]
-        orbits.sort()
-        return orbits
+        # ids ascend as (tet, i, j) does, so each orbit and the list of
+        # orbits come out sorted
+        orbits = {root: tuple((e // 12, *_DIRECTED[e % 12]) for e in g)
+                  for root, g in groups.items()}
+        classes = {}
+        for root, orbit in orbits.items():
+            tet, i, j = orbit[0]
+            reverse = find(12 * tet + _EDGE_ID[j, i])
+            if reverse not in classes:
+                classes[root] = EdgeClass(orbit, orbits[reverse])
+        return tuple(orbits.values()), tuple(classes.values())
+
+    def edge_orbits(self):
+        """Partition of all 12N oriented edges into directed orbits."""
+        return self._edges[0]
 
     def edge_classes(self):
         """Directed orbits paired with their reversals."""
-        orbits = self.edge_orbits()
-        where = {}
-        for idx, orb in enumerate(orbits):
-            for e in orb:
-                where[e] = idx
-        classes = []
-        done = set()
-        for idx, orb in enumerate(orbits):
-            if idx in done:
-                continue
-            tet, i, j = orb[0]
-            ridx = where[(tet, j, i)]
-            done.add(idx)
-            done.add(ridx)
-            classes.append(EdgeClass(orb, orbits[ridx]))
-        return classes
+        return self._edges[1]
+
+    @cached_property
+    def equations(self):
+        """The gluing equations as rows, each a product that must equal 1.
+
+        A row is a tuple of terms (tet, vertices): an ordered pair is an
+        edge coordinate, an ordered triple a face coordinate (the
+        reciprocal when odd).  One row per pairing (faceA in tetA, then
+        faceB in tetB in reversed orientation, so that both are
+        boundary-oriented for orientation-reversing gluings), then per
+        edge class its forward and its reverse product.
+        """
+        return self._face_rows + tuple(
+            tuple((tet, (i, j)) for tet, i, j in members)
+            for cls in self.edge_classes()
+            for members in (cls.members, cls.reverse_members))
+
+    @cached_property
+    def _face_rows(self):
+        """The pairing rows of equations, which need no edge orbits."""
+        return tuple(((p.tet_a, p.face_a), (p.tet_b, p.face_b[::-1]))
+                     for p in self.pairings)
 
 
 @dataclass(frozen=True)
@@ -261,18 +266,20 @@ def _item(label, product, exact) -> CheckItem:
                      residual, (product == 1) if exact else None)
 
 
-def check_faces(dc: DecoratedComplex) -> CheckReport:
-    """Per pairing: matched face coordinates must multiply to 1.
+def _row_values(coords, row) -> list:
+    """The coordinate values whose product an equation row sets to 1."""
+    return [coords[tet].edge_value(*v) if len(v) == 2
+            else coords[tet].face_value(*v) for tet, v in row]
 
-    The far side enters with reversed orientation, so both lookups land
-    on boundary-oriented triples for orientation-reversing gluings.
-    """
-    coords = dc.coords
+
+def check_faces(dc: DecoratedComplex) -> CheckReport:
+    """Per pairing: matched face coordinates must multiply to 1 (the far
+    side in reversed orientation, see IdealTriangulation.equations)."""
+    tri = dc.triangulation
     exact = dc.decoration.exact
     report = CheckReport("faces")
-    for n, p in enumerate(dc.triangulation.pairings):
-        va = coords[p.tet_a].face_value(*p.face_a)
-        vb = coords[p.tet_b].face_value(*p.face_b_reversed())
+    for n, (p, row) in enumerate(zip(tri.pairings, tri._face_rows)):
+        va, vb = _row_values(dc.coords, row)
         fa = "".join(map(str, p.face_a))
         fb = "".join(map(str, p.face_b))
         report.items.append(_item(
@@ -283,21 +290,18 @@ def check_faces(dc: DecoratedComplex) -> CheckReport:
 
 def check_edges(dc: DecoratedComplex) -> CheckReport:
     """Both directed products around every edge class must equal 1."""
-    coords = dc.coords
+    tri = dc.triangulation
     exact = dc.decoration.exact
     report = CheckReport("edges")
-    for n, cls in enumerate(dc.triangulation.edge_classes()):
-        pf = 1
-        for (tet, i, j) in cls.members:
-            pf = pf * coords[tet].edge_value(i, j)
-        pr = 1
-        for (tet, i, j) in cls.reverse_members:
-            pr = pr * coords[tet].edge_value(i, j)
+    rows = tri.equations[len(tri.pairings):]
+    for n, (fwd, rev) in enumerate(zip(rows[::2], rows[1::2])):
+        pf = math.prod(_row_values(dc.coords, fwd))
+        pr = math.prod(_row_values(dc.coords, rev))
         rf = abs(complex(pf) - 1.0)
         rr = abs(complex(pr) - 1.0)
         ok = (pf == 1 and pr == 1) if exact else None
         report.items.append(CheckItem(
-            f"edge class {n} (size {cls.size})",
+            f"edge class {n} (size {len(fwd)})",
             (pf, pr), max(rf, rr), ok))
     return report
 

@@ -353,8 +353,9 @@ def scalar_from_json(v, backend: str):
         if backend == "float":
             return complex(q)
         return q
-    if isinstance(v, (list, tuple)) and len(v) == 2 \
-            and all(isinstance(c, (int, float)) for c in v):
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(
+            isinstance(c, (int, float)) and not isinstance(c, bool)
+            for c in v):
         if backend == "exact":
             raise ParseError(
                 f"float literal {v!r} rejected by the exact backend")

@@ -4,9 +4,11 @@ Unknowns are the 4N minimal coordinates (z12, z21, z34, z43) per
 tetrahedron, as one complex vector.  Every other coordinate is one of
 the two vertex-relation images of a single minimal coordinate, so each
 residual is a product of factors, each factor depending on exactly one
-unknown.  The triangulation fixes which factors make up which residual;
-that factor table is stored once as numpy arrays, and residuals and the
-sparse Jacobian (from logarithmic derivatives) are evaluated from it in
+unknown.  The residuals are the rows of the triangulation's gluing
+equations (IdealTriangulation.equations, the same rows check_faces and
+check_edges evaluate); ConsistencySystem turns each row into its
+factors, stored once as numpy arrays, and residuals and the sparse
+Jacobian (from logarithmic derivatives) are evaluated from them in
 vectorized form.  Residuals are multiplicative (product minus one),
 which avoids logarithm branch tracking entirely.
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import DecoratedComplex, Decoration, check_edges, check_faces
+from .complexes import DecoratedComplex, Decoration, is_consistent
 from .errors import LeftDomain, SolverDiverged, Unsupported
 from .tetra import (CANONICAL_FACES, EVEN_COMPLETION, FACE_OPPOSITE,
                     MINIMAL_EDGES, complete_from_minimal, face_class)
@@ -102,39 +104,30 @@ class ConsistencySystem:
     def __init__(self, triangulation):
         self.triangulation = triangulation
         self.n_unknowns = n = 4 * triangulation.n
-        # each residual: (constant, [(column, tag, sign), ...], label)
-        self.products = []
-        for k, p in enumerate(triangulation.pairings):
-            factors = []
+        # one residual per row of the triangulation's gluing equations
+        self.products = triangulation.equations
+        table, constants = [], []
+        for row, terms in enumerate(self.products):
             const = 1.0
-            for tet, triple in ((p.tet_a, p.face_a),
-                                (p.tet_b, p.face_b_reversed())):
-                canon, sign = face_class(*triple)
-                # each face value is -(product of three edge factors);
-                # an odd ordering contributes the reciprocal, still -1/prod
-                const *= -1.0
-                for tag, idx in FACE_FACTORS[canon]:
-                    factors.append((4 * tet + idx, tag, sign))
-            self.products.append((const, factors, f"face pairing {k}"))
-        for k, cls in enumerate(triangulation.edge_classes()):
-            for direction, members in (("fwd", cls.members),
-                                       ("rev", cls.reverse_members)):
-                factors = []
-                for (tet, i, j) in members:
-                    tag, idx = EDGE_FACTOR[(i, j)]
-                    factors.append((4 * tet + idx, tag, 1))
-                self.products.append(
-                    (1.0, factors, f"edge class {k} {direction}"))
+            for tet, vertices in terms:
+                if len(vertices) == 2:
+                    tag, idx = EDGE_FACTOR[vertices]
+                    table.append((row, 4 * tet + idx, tag, 1))
+                    continue
+                # each face value is -(product of three edge factors); an
+                # odd ordering contributes the reciprocal, still -1/prod
+                canon, sign = face_class(*vertices)
+                const = -const
+                table += [(row, 4 * tet + idx, tag, sign)
+                          for tag, idx in FACE_FACTORS[canon]]
+            constants.append(const)
 
         # the factor table, sorted by row and then column; every row has
         # at least one factor (a face has six, an edge class a member)
-        table = np.array([(row, col, tag, sign)
-                          for row, (_, factors, _) in enumerate(self.products)
-                          for col, tag, sign in factors],
-                         dtype=np.intp).reshape(-1, 4)
+        table = np.array(table, dtype=np.intp).reshape(-1, 4)
         row, col, tag, sign = table[np.lexsort((table[:, 1],
                                                 table[:, 0]))].T
-        self._const = np.array([c for c, _, _ in self.products], dtype=complex)
+        self._const = np.array(constants, dtype=complex)
         self._row_start = np.flatnonzero(np.diff(row, prepend=-1))
         # index into the shape table [m, 1/(1-m), 1-1/m] of all unknowns,
         # shifted by 3n for a factor entering as a reciprocal
@@ -264,7 +257,7 @@ def solve_consistency(dc: DecoratedComplex, tol=1e-12, max_iter=100,
     forbidden values 0 and 1.
     """
     if dc.decoration.exact:
-        if check_faces(dc).passed() and check_edges(dc).passed():
+        if is_consistent(dc):
             return SolveResult(dc, 0, 0.0)
         raise Unsupported(
             "exact decoration is inconsistent; solving needs the float backend")

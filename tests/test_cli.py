@@ -406,6 +406,9 @@ LOOSE_INPUTS = {
         point={"a": 1}), "decoration.data[0][0].point"),
     "point-string": (_cr_doc, lambda d: d["decoration"]["data"][0][0].update(
         point="abc"), "decoration.data[0][0].point"),
+    "point-bool-pair": (_cr_doc, lambda d: d["decoration"]["data"][0][0][
+        "point"].__setitem__(0, [True, False]),
+        "decoration.data[0][0].point[0]"),
 }
 
 

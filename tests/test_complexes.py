@@ -10,18 +10,21 @@ from flagdual import (DecoratedComplex, Decoration, FacePairing,
                       canonicalize_six, check_edges, check_faces,
                       complete_from_minimal, conjugate_complex, delta_exact,
                       dilog_D, dualize, duality_defect, dump_complex, eval_D,
-                      is_consistent, load_complex, very_generic,
-                      volume_complex)
+                      is_consistent, load_complex, solve_consistency,
+                      very_generic, volume_complex)
 from flagdual.bundled import (GEOMETRIC_SHAPE, cr_complex,
                               figure_eight_complex,
                               figure_eight_triangulation, hyperbolic_complex,
                               single_tetra_triangulation,
-                              twisted_double_complex)
+                              twisted_double_complex,
+                              twisted_double_triangulation)
 from flagdual import prebloch
 from flagdual.duality import beta_defect
 from flagdual.errors import MalformedPairing, NotVeryGeneric
 
-from helpers import classical_edge_products, cyclic_cover, rand_exact_tetra
+from helpers import (classical_edge_products, cyclic_cover,
+                     flood_fill_edge_orbits, lifted_cover, rand_exact_tetra,
+                     reversed_face_order_cover)
 
 FIG8_VOLUME = 2.029883212819307
 
@@ -293,10 +296,9 @@ def _count_merge_tests(monkeypatch):
 
 def test_lifted_cover_invariants_cost_linear_merge_tests(monkeypatch):
     n = 128
-    tri = cyclic_cover(n, (1, 0, 0, 0))
+    dc = lifted_cover(figure_eight_complex(), n, (1, 0, 0, 0))
+    tri = dc.triangulation
     assert tri.n == 256 and tri.is_closed()
-    regular = complete_from_minimal((GEOMETRIC_SHAPE,) * 4)
-    dc = DecoratedComplex(tri, Decoration([regular] * tri.n))
     calls = _count_merge_tests(monkeypatch)
     assert abs(volume_complex(dc) - n * FIG8_VOLUME) <= 1e-9 * n
     assert canonicalize_six(duality_defect(dc)).is_zero()
@@ -319,3 +321,63 @@ def test_lifted_cover_invariants_cost_linear_merge_tests(monkeypatch):
     canonicalize_six(duality_defect(jittered))
     # a linear scan per class, as in pairwise merging, would need ~n^2
     assert calls[0] <= 5 * generators
+
+
+ORBIT_CASES = {
+    "single": single_tetra_triangulation,
+    "figure8": figure_eight_triangulation,
+    "double": twisted_double_triangulation,
+    "fig8-cover-1000": lambda: cyclic_cover(8, (1, 0, 0, 0)),
+    "fig8-cover-1100": lambda: cyclic_cover(6, (1, 1, 0, 0)),
+    "fig8-cover-3-5-7-11": lambda: cyclic_cover(16, (3, 5, 7, 11)),
+    "fig8-cover-0000": lambda: cyclic_cover(3, (0, 0, 0, 0)),
+    "double-cover-1000": lambda: cyclic_cover(
+        8, (1, 0, 0, 0), twisted_double_triangulation()),
+    "double-cover-2-0-1-3": lambda: cyclic_cover(
+        5, (2, 0, 1, 3), twisted_double_triangulation()),
+    "reversed-faces": reversed_face_order_cover,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_edge_orbits_match_flood_fill_oracle(case):
+    tri = ORBIT_CASES[case]()
+    orbits = tri.edge_orbits()
+    assert list(orbits) == flood_fill_edge_orbits(tri)
+    classes = tri.edge_classes()
+    assert tri.edge_classes() is classes and tri.edge_orbits() is orbits
+    sides = [o for cls in classes for o in (cls.members, cls.reverse_members)]
+    # every orbit is a side of exactly one class, whose other side is
+    # its reversal (a class may be its own reversal)
+    assert {frozenset(s) for s in sides} == {frozenset(o) for o in orbits}
+    assert len(sides) == 2 * len(classes)
+    for cls in classes:
+        assert cls.reverse_members == tuple(sorted(
+            (t, j, i) for t, i, j in cls.members))
+
+
+def test_edges_are_built_once_and_only_when_read():
+    dc = twisted_double_complex()
+    tri = dc.triangulation
+    dualize(dc)
+    beta_complex(dc)
+    duality_defect(dc)
+    assert check_faces(dc).passed()
+    assert "_edges" not in vars(tri) and "equations" not in vars(tri)
+    assert is_consistent(dc)
+    rows = tri.equations
+    assert dualize(dc).triangulation.equations is rows
+    assert len(rows) == len(tri.pairings) + 2 * len(tri.edge_classes())
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("voltages", [(1, 0, 0, 0), (3, 5, 7, 11)])
+def test_exact_twisted_double_covers_at_tolerance_zero(n, voltages):
+    dc = lifted_cover(twisted_double_complex(), n, voltages)
+    assert dc.triangulation.n == 2 * n and dc.decoration.exact
+    assert dc.triangulation.is_closed()
+    assert check_faces(dc).passed() and check_edges(dc).passed()
+    assert delta_exact(beta_complex(dc)).is_zero()
+    assert canonicalize_six(duality_defect(dc)).is_zero()
+    result = solve_consistency(dc)
+    assert result.iterations == 0 and result.decorated is dc

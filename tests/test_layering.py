@@ -62,3 +62,19 @@ def test_no_function_repeats_an_import_of_its_module():
                           for node in ast.walk(fn)
                           for module in _package_modules(node) & top]
     assert not found
+
+
+def test_only_the_solver_imports_numpy():
+    # the gluing equations and check_* stay pure Python
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "solver.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] \
+                if isinstance(node, ast.Import) else \
+                [node.module or ""] \
+                if isinstance(node, ast.ImportFrom) and not node.level else []
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "numpy"]
+    assert not found

@@ -142,6 +142,28 @@ def test_five_term_numeric_1000():
         done += 1
 
 
+FIVE_TERM_TOL = 1e-10  # |D| of a float five-term sum, as in criterion 4
+_REAL = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+_FLOAT_ARG = st.builds(complex, _REAL, _REAL)
+_PART = st.fractions(-9, 9, max_denominator=9)
+_EXACT_ARG = st.builds(GaussRational, _PART, _PART).filter(
+    lambda q: q != 0 and q != 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FLOAT_ARG, _FLOAT_ARG)
+def test_five_term_dilogarithm_property(x, y):
+    assume(min(abs(x), abs(y), abs(x - 1), abs(y - 1), abs(x - y)) >= 0.02)
+    assert abs(eval_D(five_term(x, y))) <= FIVE_TERM_TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(_EXACT_ARG, _EXACT_ARG)
+def test_five_term_delta_property(x, y):
+    assume(x != y)
+    assert delta_exact(five_term(x, y)).is_zero()
+
+
 def test_five_term_degenerate_arguments():
     with pytest.raises(OutOfDomain):
         five_term(GaussRational(1), GaussRational(2))

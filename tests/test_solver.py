@@ -9,19 +9,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flagdual import (DecoratedComplex, Decoration, FacePairing,
-                      IdealTriangulation, canonicalize_six, check_edges,
-                      check_faces, complete_from_minimal, duality_defect,
-                      dualize, solve_consistency, volume_complex)
+from flagdual import (DecoratedComplex, Decoration, canonicalize_six,
+                      check_edges, check_faces, complete_from_minimal,
+                      duality_defect, dualize, solve_consistency,
+                      volume_complex)
 from flagdual.bundled import (GEOMETRIC_SHAPE, figure_eight_complex,
                               single_tetra_triangulation,
                               twisted_double_complex)
 from flagdual.errors import LeftDomain, SolverDiverged, Unsupported
-from flagdual.solver import (C1, C2, DENSE_MAX_UNKNOWNS, ID,
-                             ConsistencySystem, cgls, complex_from_vector,
-                             minimal_vector)
+from flagdual.solver import (C1, C2, DENSE_MAX_UNKNOWNS, EDGE_FACTOR,
+                             FACE_FACTORS, ID, ConsistencySystem, cgls,
+                             complex_from_vector, minimal_vector)
+from flagdual.tetra import face_class
 
-from helpers import cyclic_cover, finite_difference_jacobian
+from helpers import (finite_difference_jacobian, lifted_cover,
+                     reversed_face_order_cover)
 
 
 def _perturbed_figure_eight(scale=1e-3, seed=7):
@@ -30,12 +32,6 @@ def _perturbed_figure_eight(scale=1e-3, seed=7):
     m = minimal_vector(dc)
     noise = rng.uniform(-1, 1, m.size) + 1j * rng.uniform(-1, 1, m.size)
     return dc, complex_from_vector(dc, m * (1 + scale * noise))
-
-
-def _lifted_cover(n, voltages):
-    tri = cyclic_cover(n, voltages)
-    regular = complete_from_minimal((GEOMETRIC_SHAPE,) * 4)
-    return DecoratedComplex(tri, Decoration([regular] * tri.n))
 
 
 def _perturbed(dc, scale=1e-3, seed=31):
@@ -179,7 +175,7 @@ def test_history_records_every_dense_iteration():
 
 
 def test_matrix_free_solve_on_cover():
-    lift = _lifted_cover(32, (3, 5, 7, 11))
+    lift = lifted_cover(figure_eight_complex(), 32, (3, 5, 7, 11))
     assert 4 * lift.triangulation.n > DENSE_MAX_UNKNOWNS
     result = solve_consistency(_perturbed(lift))
     assert result.residual < 1e-12
@@ -200,7 +196,7 @@ def test_matrix_free_solve_on_cover():
 def test_matrix_free_step_is_the_minimum_norm_step(n):
     # the Jacobian at the lifted point is rank-deficient; the residual of
     # a perturbed point is in general not in its range
-    lift = _lifted_cover(n, (1, 0, 0, 0))
+    lift = lifted_cover(figure_eight_complex(), n, (1, 0, 0, 0))
     system = ConsistencySystem(lift.triangulation)
     assert (system.n_unknowns <= DENSE_MAX_UNKNOWNS) == (n <= 8)
     _, jac = system.residuals_and_jacobian(minimal_vector(lift))
@@ -214,23 +210,30 @@ def test_matrix_free_step_is_the_minimum_norm_step(n):
         1e-8 * np.linalg.norm(reference)
 
 
+def _factors(row):
+    """(column, tag, sign) of each factor of one gluing-equation row."""
+    out = []
+    for tet, vertices in row:
+        if len(vertices) == 2:
+            tag, idx = EDGE_FACTOR[vertices]
+            out.append((4 * tet + idx, tag, 1))
+        else:
+            canon, sign = face_class(*vertices)
+            out += [(4 * tet + idx, tag, sign)
+                    for tag, idx in FACE_FACTORS[canon]]
+    return out
+
+
 def test_jacobian_on_cover_matches_central_differences():
-    # every other pairing of the 4-fold cover is written with both faces
-    # in odd vertex order (the same gluing), so that a face contributes
-    # its factors as reciprocals
-    cover = cyclic_cover(4, (1, 1, 0, 0))
-    tri = IdealTriangulation(cover.n, [
-        FacePairing(p.tet_a, p.face_a[::-1], p.tet_b, p.face_b[::-1])
-        if k % 2 else p for k, p in enumerate(cover.pairings)])
+    tri = reversed_face_order_cover()
     regular = complete_from_minimal((GEOMETRIC_SHAPE,) * 4)
     lift = DecoratedComplex(tri, Decoration([regular] * tri.n))
     system = ConsistencySystem(tri)
     assert np.max(np.abs(system.residuals(minimal_vector(lift)))) < 1e-12
-    factors = [f for _, fs, _ in system.products for f in fs]
-    assert {tag for _, tag, _ in factors} == {ID, C1, C2}
-    assert {sign for _, _, sign in factors} == {1, -1}
-    assert any(len({col for col, _, _ in fs}) < len(fs)
-               for _, fs, _ in system.products)
+    rows = [_factors(row) for row in system.products]
+    assert {tag for fs in rows for _, tag, _ in fs} == {ID, C1, C2}
+    assert {sign for fs in rows for _, _, sign in fs} == {1, -1}
+    assert any(len({col for col, _, _ in fs}) < len(fs) for fs in rows)
     m = minimal_vector(_perturbed(lift, seed=5))
     _, jac = system.residuals_and_jacobian(m)
     analytic = jac.toarray()
