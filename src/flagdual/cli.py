@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bundled, fileio
 from .complexes import (beta_complex, check_edges, check_faces,
                         conjugate_complex, dualize, duality_defect,
-                        volume_complex)
+                        volume_complex, worst_residual)
 from .errors import FlagdualError, ParseError
 from .prebloch import canonicalize_six, eval_D
 from .scalars import parse_exact
@@ -46,6 +47,18 @@ def _parse_param(text):
         return complex(text.replace(" ", ""))
     except ValueError:
         raise ParseError(f"cannot parse shape parameter {text!r}") from None
+
+
+def _tolerance(text):
+    """--tolerance: a finite positive float, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number: {text!r}")
+    return value
 
 
 def _emit_complex(dc, args, extra=None, keep_flags=False):
@@ -132,14 +145,13 @@ def _cmd_check(args):
         print(f"edge equations ({len(edges.items)} classes):")
         for it in edges.items:
             print(f"  {it.label}   max|prod-1| = {_fmt_res(it.residual)}")
-        worst = max(faces.max_residual, edges.max_residual)
+        worst = worst_residual((faces.max_residual, edges.max_residual))
         print(f"max residual {_fmt_res(worst)}   tolerance {tol:.1e}   "
               f"{'PASS' if ok else 'FAIL'}")
     if ok:
         return 0
     bad = faces.failures(tol) + edges.failures(tol)
-    label = bad[0].label if bad else "unknown"
-    print(f"error: consistency violated at {label}", file=sys.stderr)
+    print(f"error: consistency violated at {bad[0].label}", file=sys.stderr)
     return 2
 
 
@@ -218,7 +230,7 @@ def _common(sub, verb):
                          default="auto", help="scalar backend for loading "
                                               "(default: follow file)")
     if verb in ("check", "solve"):
-        sub.add_argument("--tolerance", type=float, default=CHECK_TOL,
+        sub.add_argument("--tolerance", type=_tolerance, default=CHECK_TOL,
                          help="residual tolerance (default 1e-9)")
     sub.add_argument("--json", action="store_true",
                      help="machine-readable stdout")

@@ -179,13 +179,13 @@ class EdgeClass:
         return len(self.members)
 
 
-def per_tetrahedron(f, items, *args) -> list:
-    """[f(item, *args) for item in items], a package error naming the
+def per_tetrahedron(f, items) -> list:
+    """[f(item) for item in items], a package error naming the
     tetrahedron; it keeps its class, so the CLI keeps its exit code."""
     out = []
     for nu, item in enumerate(items):
         try:
-            out.append(f(item, *args))
+            out.append(f(item))
         except FlagdualError as exc:
             raise type(exc)(f"tetrahedron {nu}: {exc}") from exc
     return out
@@ -240,6 +240,11 @@ class CheckItem:
     exact_ok: bool | None  # None in the float backend
 
 
+def worst_residual(residuals) -> float:
+    """The largest residual (0.0 for none), NaN when any is NaN."""
+    return max(residuals, key=lambda r: (math.isnan(r), r), default=0.0)
+
+
 @dataclass
 class CheckReport:
     kind: str
@@ -247,17 +252,16 @@ class CheckReport:
 
     @property
     def max_residual(self) -> float:
-        return max((it.residual for it in self.items), default=0.0)
+        return worst_residual(it.residual for it in self.items)
 
     def passed(self, tol=CHECK_TOL) -> bool:
-        if any(it.exact_ok is not None for it in self.items):
-            return all(it.exact_ok for it in self.items)
-        return self.max_residual <= tol
+        return not self.failures(tol)
 
     def failures(self, tol=CHECK_TOL):
         if any(it.exact_ok is not None for it in self.items):
             return [it for it in self.items if not it.exact_ok]
-        return [it for it in self.items if it.residual > tol]
+        # "not <=", so that a NaN residual fails
+        return [it for it in self.items if not it.residual <= tol]
 
 
 def _item(label, product, exact) -> CheckItem:
@@ -302,7 +306,7 @@ def check_edges(dc: DecoratedComplex) -> CheckReport:
         ok = (pf == 1 and pr == 1) if exact else None
         report.items.append(CheckItem(
             f"edge class {n} (size {len(fwd)})",
-            (pf, pr), max(rf, rr), ok))
+            (pf, pr), worst_residual((rf, rr)), ok))
     return report
 
 

@@ -57,8 +57,8 @@ class ProjPoint1:
         return cls(value, 1)
 
     @classmethod
-    def infinity(cls, one=1):
-        return cls(one, 0)
+    def infinity(cls):
+        return cls(1, 0)
 
     def same_point(self, other: "ProjPoint1") -> bool:
         d = self.a * other.b - other.a * self.b
@@ -134,8 +134,8 @@ class Mat3:
         self.rows = (flat[0:3], flat[3:6], flat[6:9])
 
     @classmethod
-    def identity(cls, one=1):
-        return cls(((one, 0, 0), (0, one, 0), (0, 0, one)))
+    def identity(cls):
+        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     @classmethod
     def from_columns(cls, c1, c2, c3):

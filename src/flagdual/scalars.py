@@ -371,8 +371,8 @@ def scalar_from_json(v, backend: str):
     raise ParseError(f"not a scalar encoding: {v!r}")
 
 
-def nearly_equal(a, b, tol=1e-12) -> bool:
-    """Backend-aware equality: exact equality or relative float closeness.
+def nearly_equal(a, b, tol) -> bool:
+    """Backend-aware equality: exact, or relative float closeness to tol.
 
     Plain int/Fraction values are neutral, as everywhere; only a
     GaussRational against a float or complex raises BackendMismatch.

@@ -121,7 +121,10 @@ class TetraCoords:
                 raise OutOfDomain(f"face coordinate {key} is zero")
 
     def _validate(self):
-        for (i, j), (k, l) in EVEN_COMPLETION.items():
+        # vertex relations from each minimal edge, as complete_from_minimal
+        # derives them: from another edge, 1 - 1/z cancels at large |z|
+        for i, j in MINIMAL_EDGES:
+            k, l = EVEN_COMPLETION[(i, j)]
             zij = self.edge[(i, j)]
             if not nearly_equal(self.edge[(i, k)], 1 / (1 - zij),
                                 VALIDATION_TOL):

@@ -1,5 +1,6 @@
 """CLI verbs, exit codes, JSON stability, file format round trips."""
 
+import cmath
 import json
 import random
 import re
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flagdual import (GaussRational, dump_complex, load_complex, read_complex,
-                      write_complex)
+from flagdual import (DecoratedComplex, Decoration, GaussRational,
+                      complete_from_minimal, dump_complex, load_complex,
+                      read_complex, write_complex)
 from flagdual.bundled import (cr_complex, figure_eight_complex,
+                              single_tetra_triangulation,
                               twisted_double_complex)
 from flagdual.cli import main
 from flagdual import cli, errors
@@ -95,6 +98,27 @@ def test_file_round_trip_property(minimal, keep_flags):
     assert again.triangulation.pairings == dc.triangulation.pairings
     assert _scalars(again, keep_flags) == _scalars(dc, keep_flags)
     assert json.dumps(dump_complex(again, keep_flags)) == text
+
+
+def test_written_tetrahedra_load_at_extreme_scales():
+    # one minimal coordinate of modulus 1e-12 to 1e101: loading checks
+    # the vertex relations in the direction the library derives them,
+    # so nothing it writes is refused for cancellation in 1 - 1/z
+    rng = random.Random(63)
+    tri = single_tetra_triangulation()
+    for exponent in (-12, -11, 10, 11, 12, 30, 100):
+        for _ in range(20):
+            minimal = [cmath.rect(10 ** rng.uniform(-1, 1),
+                                  rng.uniform(-3.14, 3.14)) for _ in range(4)]
+            minimal[rng.randrange(4)] = cmath.rect(
+                10 ** (exponent + rng.random()), rng.uniform(-3.14, 3.14))
+            dc = DecoratedComplex(
+                tri, Decoration([complete_from_minimal(minimal)]))
+            again = load_complex(dump_complex(dc))
+            assert _scalars(again, False) == _scalars(dc, False)
+    huge = figure_eight_complex(cmath.rect(1e100, 1.0))
+    again = load_complex(dump_complex(huge))
+    assert _scalars(again, False) == _scalars(huge, False)
 
 
 def test_malformed_file_raises_parse_error(tmp_path):
@@ -461,6 +485,20 @@ def test_each_verb_takes_only_the_options_it_reads(verb, option, value,
         main([verb, target, option, value])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,value", [
+    ("check", "nan"), ("check", "-1"), ("check", "inf"), ("check", "0"),
+    ("solve", "-1"), ("solve", "nan"), ("solve", "inf")])
+def test_tolerance_must_be_finite_and_positive(verb, value, tmp_path,
+                                               capsys):
+    f = tmp_path / "fig8.json"
+    write_complex(f, figure_eight_complex())
+    with pytest.raises(SystemExit) as exc:
+        main([verb, str(f), "--tolerance", value])
+    assert exc.value.code == 2
+    assert "argument --tolerance: must be a finite positive number" \
+        in capsys.readouterr().err
 
 
 def test_malformed_pairings_are_parse_errors_naming_the_pairing(

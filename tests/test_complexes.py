@@ -1,5 +1,6 @@
 """Triangulations, consistency checks, invariants, duality at complex level."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from flagdual import (DecoratedComplex, Decoration, FacePairing,
                       dilog_D, dualize, duality_defect, dump_complex, eval_D,
                       is_consistent, load_complex, solve_consistency,
                       very_generic, volume_complex)
+from flagdual.complexes import CheckItem, CheckReport
 from flagdual.bundled import (GEOMETRIC_SHAPE, cr_complex,
                               figure_eight_complex,
                               figure_eight_triangulation, hyperbolic_complex,
@@ -96,6 +98,19 @@ def test_perturbed_face_flagged():
     report = check_faces(bad)
     assert not report.passed(1e-9)
     assert report.failures(1e-9)
+
+
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_nan_residual_fails_the_report(nan_first):
+    # an overflowing product gives a NaN residual, which no tolerance
+    # passes, wherever it stands in the report
+    good = CheckItem("a", 1, 0.0, None)
+    bad = CheckItem("b", math.nan, math.nan, None)
+    report = CheckReport("edges", [bad, good] if nan_first else [good, bad])
+    assert not report.passed()
+    assert not report.passed(math.inf)
+    assert report.failures() == [bad]
+    assert math.isnan(report.max_residual)
 
 
 def test_random_gluing_generically_fails():

@@ -89,7 +89,7 @@ def test_multiplicative_cocycle_six_points():
 
 
 def test_mat3_examples():
-    ident = Mat3.identity(GaussRational(1))
+    ident = Mat3.identity()
     assert ident.det() == 1
     assert ident.inverse().rows == ident.rows
     diag = Mat3(((GaussRational(1), 0, 0), (0, GaussRational(2), 0),
@@ -99,7 +99,7 @@ def test_mat3_examples():
 
 def test_mat3_inverse_exact_self_consistency():
     rng = random.Random(25)
-    ident = Mat3.identity(GaussRational(1))
+    ident = Mat3.identity()
     for _ in range(50):
         m = rand_pgl3_exact(rng)
         assert (m @ m.inverse()).rows == ident.rows

@@ -92,12 +92,12 @@ def test_json_encoding_per_backend():
 
 
 def test_nearly_equal_semantics():
-    assert nearly_equal(GaussRational(1, 2), GaussRational(1, 2))
-    assert not nearly_equal(GaussRational(1, 2), GaussRational(1, 3))
-    assert nearly_equal(1 + 1e-14 + 0j, 1 + 0j)
-    assert not nearly_equal(1 + 1e-6 + 0j, 1 + 0j)
+    assert nearly_equal(GaussRational(1, 2), GaussRational(1, 2), 1e-12)
+    assert not nearly_equal(GaussRational(1, 2), GaussRational(1, 3), 1e-12)
+    assert nearly_equal(1 + 1e-14 + 0j, 1 + 0j, 1e-12)
+    assert not nearly_equal(1 + 1e-6 + 0j, 1 + 0j, 1e-12)
     with pytest.raises(BackendMismatch):
-        nearly_equal(GaussRational(1), 1 + 0j)
+        nearly_equal(GaussRational(1), 1 + 0j, 1e-12)
 
 
 # -- properties against the Fraction-pair reference -------------------------------

@@ -147,6 +147,25 @@ def test_validation_detects_corruption():
         TetraCoords(edges, dict(c.face))
 
 
+def test_validation_refuses_every_small_corruption():
+    # a change of 1e-5 on the tolerance's own scale (1 + |z|) to any one
+    # of the 16 values, on shapes of modulus 0.1 to 10
+    rng = random.Random(62)
+    for _ in range(100):
+        c = complete_from_minimal(
+            [cmath.rect(10 ** rng.uniform(-1, 1), rng.uniform(-3.14, 3.14))
+             for _ in range(4)])
+        TetraCoords(dict(c.edge), dict(c.face))
+        for which in ("edge", "face"):
+            for key in getattr(c, which):
+                values = {"edge": dict(c.edge), "face": dict(c.face)}
+                v = values[which][key]
+                values[which][key] = v + 1e-5 * (1 + abs(v)) * cmath.exp(
+                    1j * rng.uniform(-3.14, 3.14))
+                with pytest.raises(DegenerateInput):
+                    TetraCoords(**values)
+
+
 def test_domain_errors():
     with pytest.raises(OutOfDomain):
         complete_from_minimal((GaussRational(0), GaussRational(2),
