@@ -16,9 +16,10 @@ The linear step is the minimum-norm least-squares solution: the
 consistency variety is typically positive-dimensional, so the Jacobian
 is rank-deficient at solutions and the minimum-norm Gauss-Newton step
 converges to a nearby point of the variety rather than to one
-distinguished solution.  At every size the step is a matrix-free CGLS
-iteration on the sparse Jacobian, started from zero so that its
-iterates stay in the row space of the Jacobian and converge to the
+distinguished solution.  Up to DENSE_MAX_UNKNOWNS unknowns the step is
+a dense SVD solve (``numpy.linalg.lstsq``); above that, a matrix-free
+CGLS iteration on the sparse Jacobian, started from zero so that its
+iterates stay in the row space of the Jacobian and converge to the same
 minimum-norm step (Paige & Saunders, ACM TOMS 8, 1982).
 """
 
@@ -38,6 +39,10 @@ DOMAIN_RADIUS = 1e-8  # forbidden disks around 0 and 1
 ARMIJO_C1 = 1e-4
 MAX_ITER = 100  # Gauss-Newton iteration budget
 MAX_HALVINGS = 40  # step halvings before the line search gives up
+
+# Largest unknown count solved by the dense SVD step; measured crossover
+# against CGLS on perturbed cyclic covers (see CHANGES.md).
+DENSE_MAX_UNKNOWNS = 64
 # CGLS iteration budget per unknown (see cgls)
 CGLS_MAX_ITER_FACTOR = 4
 
@@ -79,6 +84,11 @@ class CooJacobian:
         self._col_start = np.flatnonzero(np.diff(cols[by_col], prepend=-1))
         self._rows_by_col = rows[by_col]
         self._conj_by_col = np.conjugate(data[by_col])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        out[self.rows, self.cols] = self.data
+        return out
 
     def matvec(self, x):
         """J x."""
@@ -207,15 +217,16 @@ def _domain_distance(m) -> float:
 @dataclass(frozen=True)
 class IterationRecord:
     """One Gauss-Newton iteration.  ``max_residual`` and ``residual_sq``
-    (max |r| and |r|^2) are taken after the accepted step;
-    ``inner_iterations`` counts the CGLS iterations of its linear step."""
+    (max |r| and |r|^2) are taken after the accepted step; ``rank`` is
+    set by the dense step, ``inner_iterations`` by the matrix-free one."""
 
     max_residual: float
     residual_sq: float
     step_norm: float
     alpha: float
     halvings: int
-    inner_iterations: int
+    rank: int | None = None
+    inner_iterations: int | None = None
 
 
 @dataclass
@@ -224,6 +235,16 @@ class SolveResult:
     iterations: int
     residual: float
     history: list[IterationRecord] = field(default_factory=list)
+
+
+def _gauss_newton_step(system: ConsistencySystem, jac, r):
+    """Minimum-norm solution of jac @ step = -r: (step, rank, inner
+    iterations), the last two None for the method not used."""
+    if system.n_unknowns <= DENSE_MAX_UNKNOWNS:
+        step, _, rank, _ = np.linalg.lstsq(jac.toarray(), -r, rcond=None)
+        return step, int(rank), None
+    step, inner = cgls(jac, -r)
+    return step, None, inner
 
 
 def solve_consistency(dc: DecoratedComplex, tol=1e-12) -> SolveResult:
@@ -255,7 +276,7 @@ def solve_consistency(dc: DecoratedComplex, tol=1e-12) -> SolveResult:
     for it in range(1, MAX_ITER + 1):
         r, jac = system.residuals_and_jacobian(m)
         f0 = float(np.vdot(r, r).real)
-        step, inner = cgls(jac, -r)
+        step, rank, inner = _gauss_newton_step(system, jac, r)
         alpha = 1.0
         for halvings in range(MAX_HALVINGS + 1):
             trial = m + alpha * step
@@ -278,7 +299,7 @@ def solve_consistency(dc: DecoratedComplex, tol=1e-12) -> SolveResult:
         residual = float(np.max(np.abs(r_new)))
         history.append(IterationRecord(
             residual, f_new, float(np.linalg.norm(step)), alpha, halvings,
-            inner))
+            rank, inner))
         if residual < tol:
             return SolveResult(complex_from_vector(dc, m), it, residual,
                                history)

@@ -175,13 +175,6 @@ def proportional(u, v) -> bool:
     return negligible(max(cross, key=abs), u, v)
 
 
-def dense(jac) -> np.ndarray:
-    """The sparse solver Jacobian as a dense array."""
-    out = np.zeros(jac.shape, dtype=complex)
-    out[jac.rows, jac.cols] = jac.data
-    return out
-
-
 def finite_difference_jacobian(system, m, h=1e-6) -> np.ndarray:
     """Central differences in each complex coordinate (real step h)."""
     m = np.asarray(m, dtype=complex)

@@ -23,7 +23,7 @@ from flagdual.solver import (ConsistencySystem, complex_from_vector,
                              minimal_vector)
 from flagdual.tetra import EVEN_COMPLETION
 
-from helpers import (dense, dilog_quadrature, finite_difference_jacobian,
+from helpers import (dilog_quadrature, finite_difference_jacobian,
                      rand_exact_tetra, rand_float_tetra, rand_gauss_rational)
 
 FIG8_VOLUME = 2.029883212819307
@@ -200,8 +200,8 @@ def test_criterion_09_solver_convergence_and_jacobian():
     m = minimal_vector(start)
     _, analytic = system.residuals_and_jacobian(m)
     numeric = finite_difference_jacobian(system, m, h=1e-6)
-    rel = float(np.max(np.abs(dense(analytic) - numeric))
-                / np.max(np.abs(dense(analytic))))
+    rel = float(np.max(np.abs(analytic.toarray() - numeric))
+                / np.max(np.abs(analytic.toarray())))
     assert rel < 1e-5
     _ok(9, f"solver: {result.iterations} Newton steps to "
            f"{result.residual:.2e}; Jacobian vs central differences "

@@ -17,12 +17,12 @@ from flagdual.bundled import (GEOMETRIC_SHAPE, figure_eight_complex,
                               single_tetra_triangulation,
                               twisted_double_complex)
 from flagdual.errors import LeftDomain, SolverDiverged, Unsupported
-from flagdual.solver import (C1, C2, EDGE_FACTOR, FACE_FACTORS, ID,
-                             ConsistencySystem, cgls, complex_from_vector,
-                             minimal_vector)
+from flagdual.solver import (C1, C2, DENSE_MAX_UNKNOWNS, EDGE_FACTOR,
+                             FACE_FACTORS, ID, ConsistencySystem, cgls,
+                             complex_from_vector, minimal_vector)
 from flagdual.tetra import face_class
 
-from helpers import (dense, finite_difference_jacobian, lifted_cover,
+from helpers import (finite_difference_jacobian, lifted_cover,
                      reversed_face_order_cover)
 
 
@@ -115,8 +115,8 @@ def test_jacobian_matches_central_differences():
     m = minimal_vector(start)
     _, analytic = system.residuals_and_jacobian(m)
     numeric = finite_difference_jacobian(system, m, h=1e-6)
-    scale = np.max(np.abs(dense(analytic)))
-    assert np.max(np.abs(dense(analytic) - numeric)) <= 1e-5 * scale
+    scale = np.max(np.abs(analytic.toarray()))
+    assert np.max(np.abs(analytic.toarray() - numeric)) <= 1e-5 * scale
 
 
 def test_jacobian_rank_deficiency_at_geometric_point():
@@ -124,7 +124,7 @@ def test_jacobian_rank_deficiency_at_geometric_point():
     system = ConsistencySystem(dc.triangulation)
     r, jac = system.residuals_and_jacobian(minimal_vector(dc))
     assert float(np.max(np.abs(r))) < 1e-12
-    sv = np.linalg.svd(dense(jac), compute_uv=False)
+    sv = np.linalg.svd(jac.toarray(), compute_uv=False)
     assert sv[5] > 1e-6      # rank at least 6
     assert sv[6] < 1e-10     # nullity 2: the variety has positive dimension
 
@@ -158,15 +158,14 @@ def test_solver_tolerance_parameter():
     assert loose.iterations <= tight.iterations
 
 
-def test_history_records_every_iteration():
+def test_history_records_every_dense_iteration():
     _, start = _perturbed_figure_eight(seed=19)
     result = solve_consistency(start)
     history = result.history
     assert len(history) == result.iterations >= 1
     assert history[-1].max_residual == result.residual
     for rec in history:
-        # CGLS from zero ends within rank(J) = 6 iterations, here at 6
-        assert rec.inner_iterations == 6
+        assert rec.rank == 6 and rec.inner_iterations is None
         assert 0.0 < rec.alpha <= 1.0
         assert rec.alpha == 0.5 ** rec.halvings
         assert rec.step_norm > 0.0
@@ -177,9 +176,11 @@ def test_history_records_every_iteration():
 
 def test_matrix_free_solve_on_cover():
     lift = lifted_cover(figure_eight_complex(), 32, (3, 5, 7, 11))
+    assert 4 * lift.triangulation.n > DENSE_MAX_UNKNOWNS
     result = solve_consistency(_perturbed(lift))
     assert result.residual < 1e-12
-    assert all(rec.inner_iterations > 0 for rec in result.history)
+    assert all(rec.rank is None and rec.inner_iterations > 0
+               for rec in result.history)
     dc = result.decorated
     dual = dualize(dc)
     for side in (dc, dual):
@@ -197,11 +198,12 @@ def test_matrix_free_step_is_the_minimum_norm_step(n):
     # a perturbed point is in general not in its range
     lift = lifted_cover(figure_eight_complex(), n, (1, 0, 0, 0))
     system = ConsistencySystem(lift.triangulation)
+    assert (system.n_unknowns <= DENSE_MAX_UNKNOWNS) == (n <= 8)
     _, jac = system.residuals_and_jacobian(minimal_vector(lift))
     r = system.residuals(minimal_vector(_perturbed(lift, seed=n)))
-    matrix = dense(jac)
-    assert np.linalg.matrix_rank(matrix) < min(matrix.shape)
-    reference = np.linalg.lstsq(matrix, -r, rcond=None)[0]
+    dense = jac.toarray()
+    assert np.linalg.matrix_rank(dense) < min(dense.shape)
+    reference = np.linalg.lstsq(dense, -r, rcond=None)[0]
     step, inner = cgls(jac, -r)
     assert 0 < inner
     assert np.linalg.norm(step - reference) <= \
@@ -234,7 +236,7 @@ def test_jacobian_on_cover_matches_central_differences():
     assert any(len({col for col, _, _ in fs}) < len(fs) for fs in rows)
     m = minimal_vector(_perturbed(lift, seed=5))
     _, jac = system.residuals_and_jacobian(m)
-    analytic = dense(jac)
+    analytic = jac.toarray()
     numeric = finite_difference_jacobian(system, m, h=1e-6)
     scale = np.max(np.abs(analytic))
     assert np.max(np.abs(analytic - numeric)) <= 1e-5 * scale
@@ -264,7 +266,7 @@ def test_solving_a_cover_imports_no_scipy():
         lift = DecoratedComplex(tri, Decoration([c] * tri.n))
         m = minimal_vector(lift) * (1 + 1e-3 * np.sin(np.arange(4 * tri.n)))
         result = solve_consistency(complex_from_vector(lift, m))
-        assert result.residual < 1e-12
+        assert result.residual < 1e-12 and result.history[0].rank is None
         print("scipy" in sys.modules)
     """
     src = str(Path(__file__).resolve().parents[1] / "src")
