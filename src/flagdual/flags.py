@@ -13,8 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DegenerateInput, NotOnSphere
-from .projective import (Mat3, ProjPoint1, det3, negligible, pairing_is_zero,
-                         triple_is_degenerate, vdot)
+from .projective import Mat3, ProjPoint1, det3, negligible, vdot
 from .scalars import GaussRational, exactify, is_exact, normalize_values
 
 
@@ -34,18 +33,17 @@ class Flag:
             raise DegenerateInput("flag point is the zero triple")
         if all(c == 0 for c in line):
             raise DegenerateInput("flag line is the zero triple")
-        if not pairing_is_zero(line, point):
+        incidence = vdot(line, point)
+        if not negligible(incidence, line, point):
             raise DegenerateInput(
-                f"flag incidence violated: f(x) = {vdot(line, point)!r}")
+                f"flag incidence violated: f(x) = {incidence!r}")
         self.point = point
         self.line = line
 
     def dual(self) -> "Flag":
-        return Flag(self.line, self.point)
-
-    def conjugate(self) -> "Flag":
-        return Flag(tuple(c.conjugate() for c in self.point),
-                    tuple(c.conjugate() for c in self.line))
+        dual = Flag.__new__(Flag)  # incidence is symmetric: no new check
+        dual.point, dual.line = self.line, self.point
+        return dual
 
     def __repr__(self):
         return f"Flag(point={self.point!r}, line={self.line!r})"
@@ -74,14 +72,8 @@ class FlagTuple:
     def points(self):
         return [f.point for f in self.flags]
 
-    def lines(self):
-        return [f.line for f in self.flags]
-
     def dual(self) -> "FlagTuple":
         return FlagTuple([f.dual() for f in self.flags])
-
-    def conjugate(self) -> "FlagTuple":
-        return FlagTuple([f.conjugate() for f in self.flags])
 
     def transformed(self, m: Mat3) -> "FlagTuple":
         """Apply a projectivity: points by m, covectors by (m^T)^-1."""
@@ -90,30 +82,51 @@ class FlagTuple:
                           for f in self.flags])
 
 
+def cross_pairings(t) -> dict:
+    """{(i, j): f_i(x_j)} for distinct flags of t (numbered from 1);
+    DegenerateInput names the first pairing that vanishes."""
+    out = {}
+    for i, fi in enumerate(t, 1):
+        for j, fj in enumerate(t, 1):
+            if i != j:
+                v = vdot(fi.line, fj.point)
+                if negligible(v, fi.line, fj.point):
+                    raise DegenerateInput(f"pairing f{i}(x{j}) vanishes")
+                out[(i, j)] = v
+    return out
+
+
+def point_minors(t) -> dict:
+    """{(i, j, k): det(x_i, x_j, x_k)} for i < j < k; DegenerateInput
+    names the first three collinear points (on t.dual(), lines)."""
+    out = {}
+    for key in combinations(range(1, len(t) + 1), 3):
+        cols = [t[v - 1].point for v in key]
+        d = det3(*cols)
+        if negligible(d, *cols):
+            raise DegenerateInput(
+                "points x{}, x{}, x{} are collinear".format(*key))
+        out[key] = d
+    return out
+
+
 def is_generic(t: FlagTuple) -> bool:
     """All cross pairings f_i(x_j) nonzero and no three points collinear."""
-    flags = t.flags
-    for i, fi in enumerate(flags):
-        for j, fj in enumerate(flags):
-            if i != j and pairing_is_zero(fi.line, fj.point):
-                return False
-    for (i, j, k) in combinations(range(len(flags)), 3):
-        if triple_is_degenerate(flags[i].point, flags[j].point,
-                                flags[k].point):
-            return False
+    try:
+        cross_pairings(t)
+        point_minors(t)
+    except DegenerateInput:
+        return False
     return True
 
 
 def is_very_generic(t: FlagTuple) -> bool:
     """Generic, and additionally no three of the lines are concurrent."""
-    if not is_generic(t):
+    try:
+        point_minors(t.dual())
+    except DegenerateInput:
         return False
-    flags = t.flags
-    for (i, j, k) in combinations(range(len(flags)), 3):
-        if triple_is_degenerate(flags[i].line, flags[j].line,
-                                flags[k].line):
-            return False
-    return True
+    return is_generic(t)
 
 
 def normalize_to_standard(t) -> Mat3:

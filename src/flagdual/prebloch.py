@@ -158,9 +158,6 @@ class FormalSum:
     def __len__(self):
         return len(self.terms)
 
-    def __iter__(self):
-        return iter(self.terms)
-
     def __add__(self, other):
         return FormalSum(list(self.terms) + list(other.terms))
 

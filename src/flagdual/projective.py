@@ -111,15 +111,6 @@ def det3(c1, c2, c3):
     return vdot(c1, vcross(c2, c3))
 
 
-def triple_is_degenerate(c1, c2, c3) -> bool:
-    """True when det(c1,c2,c3) vanishes (scale-relative in float)."""
-    return negligible(det3(c1, c2, c3), c1, c2, c3)
-
-
-def pairing_is_zero(u, x) -> bool:
-    return negligible(vdot(u, x), u, x)
-
-
 class Mat3:
     """An exactly-invertible-when-it-should-be 3x3 matrix of scalars."""
 

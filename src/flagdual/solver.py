@@ -1,16 +1,17 @@
 """Damped Gauss-Newton solver for the consistency equations.
 
 Unknowns are the 4N minimal coordinates (z12, z21, z34, z43) per
-tetrahedron, as one complex vector.  Every other coordinate is one of
-the two vertex-relation images of a single minimal coordinate, so each
-residual is a product of factors, each factor depending on exactly one
-unknown.  The residuals are the rows of the triangulation's gluing
-equations (IdealTriangulation.equations, the same rows check_faces and
-check_edges evaluate); ConsistencySystem turns each row into its
-factors, stored once as numpy arrays, and residuals and the sparse
-Jacobian (from logarithmic derivatives) are evaluated from them in
-vectorized form.  Residuals are multiplicative (product minus one),
-which avoids logarithm branch tracking entirely.
+tetrahedron, as one complex vector.  Every coordinate is a signed
+product of shapes m, 1/(1-m), 1-1/m of single minimal coordinates, as
+the chart table tetra.CHART_FACTORS lists it, so each residual is a
+product of factors, each factor depending on exactly one unknown.  The
+residuals are the rows of the triangulation's gluing equations
+(IdealTriangulation.equations, the same rows check_faces and
+check_edges evaluate); ConsistencySystem looks up the factors of each
+row term in CHART_FACTORS and stores them once as numpy arrays, and
+residuals and the sparse Jacobian (from logarithmic derivatives) are
+evaluated from them in vectorized form.  Residuals are multiplicative
+(product minus one), which avoids logarithm branch tracking entirely.
 
 The linear step is the minimum-norm least-squares solution: the
 consistency variety is typically positive-dimensional, so the Jacobian
@@ -31,8 +32,7 @@ import numpy as np
 
 from .complexes import DecoratedComplex, Decoration, is_consistent
 from .errors import LeftDomain, SolverDiverged, Unsupported
-from .tetra import (CANONICAL_FACES, EVEN_COMPLETION, FACE_OPPOSITE,
-                    MINIMAL_EDGES, complete_from_minimal, face_class)
+from .tetra import CHART_FACTORS, complete_from_minimal
 from .tolerances import CGLS_RTOL
 
 DOMAIN_RADIUS = 1e-8  # forbidden disks around 0 and 1
@@ -45,29 +45,6 @@ MAX_HALVINGS = 40  # step halvings before the line search gives up
 DENSE_MAX_UNKNOWNS = 64
 # CGLS iteration budget per unknown (see cgls)
 CGLS_MAX_ITER_FACTOR = 4
-
-# factor tags: the three vertex-relation shapes of a minimal coordinate m
-ID, C1, C2 = 0, 1, 2  # m, 1/(1-m), 1-1/m
-
-
-def _build_edge_factor_table():
-    """(i, j) -> (tag, local minimal index)."""
-    table = {}
-    for idx, (i, j) in enumerate(MINIMAL_EDGES):
-        k, l = EVEN_COMPLETION[(i, j)]
-        table[(i, j)] = (ID, idx)
-        table[(i, k)] = (C1, idx)
-        table[(i, l)] = (C2, idx)
-    return table
-
-
-EDGE_FACTOR = _build_edge_factor_table()
-
-FACE_FACTORS = {
-    f: tuple(EDGE_FACTOR[(v, FACE_OPPOSITE[f])] for v in f)
-    for f in CANONICAL_FACES
-}
-
 
 class CooJacobian:
     """Sparse complex matrix as COO triplets: one entry per (row, column),
@@ -112,30 +89,25 @@ class ConsistencySystem:
         for row, terms in enumerate(self.products):
             const = 1.0
             for tet, vertices in terms:
-                if len(vertices) == 2:
-                    tag, idx = EDGE_FACTOR[vertices]
-                    table.append((row, 4 * tet + idx, tag, 1))
-                    continue
-                # each face value is -(product of three edge factors); an
-                # odd ordering contributes the reciprocal, still -1/prod
-                canon, sign = face_class(*vertices)
-                const = -const
-                table += [(row, 4 * tet + idx, tag, sign)
-                          for tag, idx in FACE_FACTORS[canon]]
+                sign, factors = CHART_FACTORS[vertices]
+                const *= sign
+                for idx, shape, power in factors:
+                    table.append((row, 4 * tet + idx, shape, power))
             constants.append(const)
 
         # the factor table, sorted by row and then column; every row has
         # at least one factor (a face has six, an edge class a member)
         table = np.array(table, dtype=np.intp).reshape(-1, 4)
-        row, col, tag, sign = table[np.lexsort((table[:, 1],
-                                                table[:, 0]))].T
+        row, col, shape, power = table[np.lexsort((table[:, 1],
+                                                   table[:, 0]))].T
         self._const = np.array(constants, dtype=complex)
         self._row_start = np.flatnonzero(np.diff(row, prepend=-1))
-        # index into the shape table [m, 1/(1-m), 1-1/m] of all unknowns,
-        # shifted by 3n for a factor entering as a reciprocal
-        self._shape_index = tag * n + col
-        self._value_index = self._shape_index + 3 * n * (sign < 0)
-        self._sign = sign.astype(float)
+        # index into the shape table [m, 1/(1-m), 1-1/m] of all unknowns
+        # (the shape order of tetra.ID, C1, C2), shifted by 3n for a
+        # factor entering as a reciprocal
+        self._shape_index = shape * n + col
+        self._value_index = self._shape_index + 3 * n * (power < 0)
+        self._power = power.astype(float)
         # Jacobian entries: repeated (row, column) factors are summed.
         # Every column has an entry: each minimal coordinate's three
         # shapes lie on edges, and every edge is in an edge class.
@@ -155,7 +127,7 @@ class ConsistencySystem:
             return prod - 1.0, None
         # logarithmic derivatives of the shapes: 1/m, 1/(1-m), 1/(m(m-1))
         dlog = np.concatenate((inv, shapes[n:2 * n], inv / (m - 1.0)))
-        terms = self._sign * dlog[self._shape_index]
+        terms = self._power * dlog[self._shape_index]
         data = np.add.reduceat(terms, self._entry_start) \
             * prod[self._entry_row]
         return prod - 1.0, CooJacobian((len(self.products), n),

@@ -2,7 +2,8 @@
 
 A generic tetrahedron of flags carries 12 edge coordinates z_ij (one per
 oriented edge) and 4 face coordinates z_ijk (triple ratios of the
-boundary-oriented faces).  Four edge coordinates determine everything:
+boundary-oriented faces).  Four edge coordinates, the minimal chart
+(z12, z21, z34, z43), determine everything:
 
 * around each vertex the three outgoing coordinates are cyclically
   related,  z_ik = 1/(1 - z_ij)  and  z_il = 1 - 1/z_ij  for (i,j,k,l)
@@ -10,22 +11,27 @@ boundary-oriented faces).  Four edge coordinates determine everything:
 * each face coordinate is minus the product of the three edge
   coordinates pointing at the opposite vertex, z_ijk = -z_il z_jl z_kl.
 
-TetraCoords stores all 16 values.  Its constructor (used by the file loader
-and edge_coords) validates these relations; values derived by these formulas
-skip that check.  The even-permutation bookkeeping is frozen in the module
-tables below (EVEN_COMPLETION and CANONICAL_FACES); the same tables are
-quoted in the README since they are the single most error-prone convention.
+The chart is stated once, in module tables that complete_from_minimal,
+TetraCoords validation and the solver read: EDGE_SHAPES gives each edge
+as a shape z, 1/(1-z) or 1-1/z of one minimal coordinate, FACE_EDGES the
+edges of each face relation, and CHART_FACTORS every ordered pair or
+triple as a signed product of shapes.  TetraCoords stores all 16 values;
+its constructor (used by the file loader and by edge_coords, which
+measures from flags.cross_pairings and flags.point_minors) validates
+the relations, and derived values skip that check.  EVEN_COMPLETION and
+CANONICAL_FACES, the most error-prone convention, are quoted in the
+README.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from math import prod
 from typing import NamedTuple
 
 from .errors import DegenerateInput, NotVeryGeneric, OutOfDomain
-from .flags import Flag, FlagTuple
+from .flags import Flag, FlagTuple, cross_pairings, point_minors
 from .prebloch import FormalSum, eval_D
-from .projective import det3, negligible, vdot
 from .scalars import check_domain, is_exact, nearly_equal, normalize_values
 from .tolerances import VALIDATION_TOL, VERY_GENERIC_TOL
 
@@ -87,6 +93,35 @@ class MinimalCoords(NamedTuple):
 
 MINIMAL_EDGES = ((1, 2), (2, 1), (3, 4), (4, 3))
 
+# the three shapes of a minimal coordinate m on the edges out of its vertex
+ID, C1, C2 = 0, 1, 2  # m, 1/(1-m), 1-1/m
+
+
+def _shapes(z):
+    return z, 1 / (1 - z), 1 - 1 / z
+
+
+# (i, j) -> (index into MINIMAL_EDGES, shape), minimal edge by minimal
+# edge: (i, j) minimal is m itself, and (i, k), (i, l) with (i, j, k, l)
+# even carry 1/(1-m) and 1-1/m
+EDGE_SHAPES = {(i, v): (idx, shape)
+               for idx, (i, j) in enumerate(MINIMAL_EDGES)
+               for shape, v in enumerate((j, *EVEN_COMPLETION[(i, j)]))}
+
+# canonical face -> its edges (i, l), (j, l), (k, l) into the opposite
+# vertex: z_ijk = -z_il z_jl z_kl
+FACE_EDGES = {f: tuple((v, FACE_OPPOSITE[f]) for v in f)
+              for f in CANONICAL_FACES}
+
+# every ordered pair and triple -> (sign, ((index, shape, power), ...)):
+# its coordinate is sign * prod shape(m[index]) ** power, the power -1 on
+# an odd face ordering, whose value is the reciprocal
+CHART_FACTORS = {e: (1, ((idx, shape, 1),))
+                 for e, (idx, shape) in EDGE_SHAPES.items()}
+CHART_FACTORS.update(
+    (t, (-1, tuple((*EDGE_SHAPES[e], power) for e in FACE_EDGES[f])))
+    for t, (f, power) in _ROTATIONS.items())
+
 
 class TetraCoords:
     """All 16 coordinates of a generic tetrahedron, validated."""
@@ -121,31 +156,26 @@ class TetraCoords:
                 raise OutOfDomain(f"face coordinate {key} is zero")
 
     def _validate(self):
+        e = self.edge
         # vertex relations from each minimal edge, as complete_from_minimal
         # derives them: from another edge, 1 - 1/z cancels at large |z|
-        for i, j in MINIMAL_EDGES:
-            k, l = EVEN_COMPLETION[(i, j)]
-            zij = self.edge[(i, j)]
-            if not nearly_equal(self.edge[(i, k)], 1 / (1 - zij),
-                                VALIDATION_TOL):
-                raise DegenerateInput(
-                    f"vertex relation broken: z{i}{k} != 1/(1-z{i}{j})")
-            if not nearly_equal(self.edge[(i, l)], 1 - 1 / zij,
-                                VALIDATION_TOL):
-                raise DegenerateInput(
-                    f"vertex relation broken: z{i}{l} != 1-1/z{i}{j}")
+        shapes = [_shapes(e[m]) for m in MINIMAL_EDGES]
+        for (i, j), (idx, shape) in EDGE_SHAPES.items():
+            if shape != ID and not nearly_equal(e[(i, j)], shapes[idx][shape],
+                                                VALIDATION_TOL):
+                a, b = MINIMAL_EDGES[idx]
+                form = "1/(1-{})" if shape == C1 else "1-1/{}"
+                raise DegenerateInput(f"vertex relation broken: z{i}{j} != "
+                                      + form.format(f"z{a}{b}"))
         for i in VERTICES:
-            prod = 1
-            for j in VERTICES:
-                if j != i:
-                    prod = prod * self.edge[(i, j)]
-            if not nearly_equal(prod, -1, VALIDATION_TOL):
+            if not nearly_equal(prod(e[(i, j)] for j in VERTICES if j != i),
+                                -1, VALIDATION_TOL):
                 raise DegenerateInput(f"vertex product at {i} is not -1")
-        for f in CANONICAL_FACES:
-            i, j, k = f
-            l = FACE_OPPOSITE[f]
-            rhs = -(self.edge[(i, l)] * self.edge[(j, l)] * self.edge[(k, l)])
-            if not nearly_equal(self.face[f], rhs, VALIDATION_TOL):
+        # the face relation as a ratio on floats: relative at any modulus
+        for f, (a, b, c) in FACE_EDGES.items():
+            rhs = -(e[a] * e[b] * e[c])
+            if not (self.face[f] == rhs if self.exact else
+                    nearly_equal(rhs / self.face[f], 1, VALIDATION_TOL)):
                 raise DegenerateInput(
                     f"face relation broken at {f}: z_ijk != -z_il z_jl z_kl")
 
@@ -188,20 +218,14 @@ class TetraCoords:
 
 # -- measuring coordinates from flags -----------------------------------------
 
+def _triple(p, i, j, k):
+    """The triple ratio of flags i, j, k from their cross pairings p."""
+    return (p[i, j] * p[j, k] * p[k, i]) / (p[i, k] * p[j, i] * p[k, j])
+
+
 def triple_ratio(f1: Flag, f2: Flag, f3: Flag):
     """f1(x2) f2(x3) f3(x1) / (f1(x3) f2(x1) f3(x2)), scale-independent."""
-    flags = (f1, f2, f3)
-    vals = {}
-    for a in range(3):
-        for b in range(3):
-            if a != b:
-                v = vdot(flags[a].line, flags[b].point)
-                if negligible(v, flags[a].line, flags[b].point):
-                    raise DegenerateInput(
-                        f"triple_ratio pairing f{a + 1}(x{b + 1}) vanishes")
-                vals[(a, b)] = v
-    return (vals[(0, 1)] * vals[(1, 2)] * vals[(2, 0)]) / \
-        (vals[(0, 2)] * vals[(1, 0)] * vals[(2, 1)])
+    return _triple(cross_pairings((f1, f2, f3)), 1, 2, 3)
 
 
 def edge_coords(t: FlagTuple) -> TetraCoords:
@@ -210,66 +234,37 @@ def edge_coords(t: FlagTuple) -> TetraCoords:
     Edge values use z_ij = f_i(x_k) det(x_i,x_j,x_l) / (f_i(x_l)
     det(x_i,x_j,x_k)) with (i,j,k,l) even; face values are measured
     independently as triple ratios, and the constructor's validation
-    cross-checks the two routes.
+    cross-checks the two routes.  The pairings and minors come from
+    cross_pairings and point_minors, which refuse a degenerate tuple.
     """
     if len(t) != 4:
         raise DegenerateInput("edge_coords needs exactly four flags")
-    x = {v: t[v - 1].point for v in VERTICES}
-    f = {v: t[v - 1].line for v in VERTICES}
-
-    pairings = {}
-    for i in VERTICES:
-        for j in VERTICES:
-            if i != j:
-                v = vdot(f[i], x[j])
-                if negligible(v, f[i], x[j]):
-                    raise DegenerateInput(f"pairing f{i}(x{j}) vanishes")
-                pairings[(i, j)] = v
-
-    base_det = {}
-    for key in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
-        cols = [x[v] for v in key]
-        d = det3(*cols)
-        if negligible(d, *cols):
-            raise DegenerateInput(
-                f"points x{key[0]}, x{key[1]}, x{key[2]} are collinear")
-        base_det[key] = d
+    pairings = cross_pairings(t)
+    minors = point_minors(t)
 
     def det(i, j, k):
-        key = tuple(sorted((i, j, k)))
-        d = base_det[key]
+        d = minors[tuple(sorted((i, j, k)))]
         return d if perm_parity((i, j, k)) == 1 else -d
 
-    edges = {}
-    for (i, j), (k, l) in EVEN_COMPLETION.items():
-        edges[(i, j)] = (pairings[(i, k)] * det(i, j, l)) / \
-            (pairings[(i, l)] * det(i, j, k))
-    faces = {}
-    for (i, j, k) in CANONICAL_FACES:
-        n = pairings[(i, j)] * pairings[(j, k)] * pairings[(k, i)]
-        faces[(i, j, k)] = n / (pairings[(i, k)] * pairings[(j, i)]
-                                * pairings[(k, j)])
+    edges = {(i, j): (pairings[(i, k)] * det(i, j, l))
+             / (pairings[(i, l)] * det(i, j, k))
+             for (i, j), (k, l) in EVEN_COMPLETION.items()}
+    faces = {f: _triple(pairings, *f) for f in CANONICAL_FACES}
     return TetraCoords(edges, faces)
 
 
 # -- the minimal chart ---------------------------------------------------------
 
 def complete_from_minimal(m) -> TetraCoords:
-    """Fill all 16 coordinates from (z12, z21, z34, z43)."""
+    """Fill all 16 coordinates from (z12, z21, z34, z43) by the chart
+    tables EDGE_SHAPES and FACE_EDGES."""
     m = MinimalCoords(*normalize_values(tuple(m), "minimal coordinates"))
     for name, z in zip(m._fields, m):
         check_domain(z, name)
-    edges = {}
-    for (i, j), z in zip(MINIMAL_EDGES, m):
-        k, l = EVEN_COMPLETION[(i, j)]
-        edges[(i, j)] = z
-        edges[(i, k)] = 1 / (1 - z)
-        edges[(i, l)] = 1 - 1 / z
-    faces = {}
-    for fkey in CANONICAL_FACES:
-        i, j, k = fkey
-        l = FACE_OPPOSITE[fkey]
-        faces[fkey] = -(edges[(i, l)] * edges[(j, l)] * edges[(k, l)])
+    shapes = [_shapes(z) for z in m]
+    edges = {e: shapes[idx][shape] for e, (idx, shape) in EDGE_SHAPES.items()}
+    faces = {f: -(edges[a] * edges[b] * edges[c])
+             for f, (a, b, c) in FACE_EDGES.items()}
     return TetraCoords._derived(edges, faces)
 
 

@@ -9,8 +9,8 @@ from flagdual import (Flag, GaussRational, Mat3, ProjPoint1, cr_flag,
                       cross_ratio, heisenberg_null_point,
                       normalize_to_standard)
 from flagdual.errors import DegenerateInput, NotOnSphere, SingularMatrix
-from flagdual.projective import (negligible, pairing_is_zero, restrict_to_p1,
-                                 triple_is_degenerate, vcross)
+from flagdual.flags import cross_pairings, point_minors
+from flagdual.projective import negligible, restrict_to_p1, vcross
 
 from helpers import (apply_mobius, rand_gauss_rational, rand_mobius_exact,
                      rand_p1_points_exact, rand_pgl3_exact)
@@ -141,6 +141,30 @@ def test_restrict_to_p1_recovers_cross_ratio():
         assert cross_ratio(*coords) == cross_ratio(*params)
 
 
+def test_restrict_to_p1_float_matches_the_exact_route():
+    # floats take the largest basis minor, exact values the first nonzero
+    # one; the first pair (u, v) has a first minor of 1e-12 beside two of
+    # modulus 1.  The cross-ratio agrees at any scale of the basis pair
+    # and of each other point.
+    rng = random.Random(27)
+    first = ((1, 1, 0), (1, 1 + GaussRational(1, 0) / 10 ** 12, 1))
+    for k in range(30):
+        u, v = first if k == 0 else [
+            tuple(rand_gauss_rational(rng) for _ in range(3)) for _ in "uv"]
+        params = rand_p1_points_exact(rng, 4)
+        pts = [tuple(p.a * uc + p.b * vc for uc, vc in zip(u, v))
+               for p in params]
+        try:
+            exact = complex(cross_ratio(*restrict_to_p1(pts)))
+        except DegenerateInput:
+            continue  # u, v accidentally proportional
+        for scales in ((1, 1, 1, 1), (1e100, 1e100, 1e-100, 3e80)):
+            floats = [tuple(s * complex(c) for c in p)
+                      for s, p in zip(scales, pts)]
+            got = cross_ratio(*restrict_to_p1(floats))
+            assert abs(got - exact) <= 1e-9 * abs(exact)
+
+
 def test_restrict_to_p1_takes_exact_minors_beyond_float_range():
     big = 10 ** 400
     pts = [(big, 1, 0), (0, 1, 1), (big, 2, 1), (3 * big, 5, 2)]
@@ -182,12 +206,26 @@ P3 = tuple(a + (1 + 1j) * b for a, b in zip(P1, P2))  # on the line P1 P2
 
 def _pairing(s, eps):
     u = (1 + 2j, 3 - 1j, 2j)
-    x = vcross(u, (1, 1j, 2))  # u(x) = 0 exactly
-    return pairing_is_zero(u, _times(s, _off(x, eps, 0)))
+    x = _off(vcross(u, (1, 1j, 2)), eps, 0)  # u(x) = 0 exactly at eps = 0
+    flags = (Flag(vcross(u, (0, 1, 1j)), u),
+             Flag(_times(s, x), vcross(x, (1, 0, 0))))
+    try:
+        cross_pairings(flags)
+    except DegenerateInput as exc:
+        assert "pairing f1(x2) vanishes" in str(exc)
+        return True
+    return False
 
 
 def _collinear_triple(s, eps):
-    return triple_is_degenerate(P1, P2, _times(s, _off(P3, eps)))
+    flags = [Flag(_times(k, p), vcross(p, (1, -1, 2j)))
+             for k, p in ((1, P1), (1, P2), (s, _off(P3, eps)))]
+    try:
+        point_minors(flags)
+    except DegenerateInput as exc:
+        assert "points x1, x2, x3 are collinear" in str(exc)
+        return True
+    return False
 
 
 def _singular_matrix(s, eps):

@@ -17,10 +17,9 @@ from flagdual.bundled import (GEOMETRIC_SHAPE, figure_eight_complex,
                               single_tetra_triangulation,
                               twisted_double_complex)
 from flagdual.errors import LeftDomain, SolverDiverged, Unsupported
-from flagdual.solver import (C1, C2, DENSE_MAX_UNKNOWNS, EDGE_FACTOR,
-                             FACE_FACTORS, ID, ConsistencySystem, cgls,
+from flagdual.solver import (DENSE_MAX_UNKNOWNS, ConsistencySystem, cgls,
                              complex_from_vector, minimal_vector)
-from flagdual.tetra import face_class
+from flagdual.tetra import C1, C2, CHART_FACTORS, ID
 
 from helpers import (finite_difference_jacobian, lifted_cover,
                      reversed_face_order_cover)
@@ -211,17 +210,9 @@ def test_matrix_free_step_is_the_minimum_norm_step(n):
 
 
 def _factors(row):
-    """(column, tag, sign) of each factor of one gluing-equation row."""
-    out = []
-    for tet, vertices in row:
-        if len(vertices) == 2:
-            tag, idx = EDGE_FACTOR[vertices]
-            out.append((4 * tet + idx, tag, 1))
-        else:
-            canon, sign = face_class(*vertices)
-            out += [(4 * tet + idx, tag, sign)
-                    for tag, idx in FACE_FACTORS[canon]]
-    return out
+    """(column, shape, power) of each factor of one gluing-equation row."""
+    return [(4 * tet + idx, shape, power) for tet, vertices in row
+            for idx, shape, power in CHART_FACTORS[vertices][1]]
 
 
 def test_jacobian_on_cover_matches_central_differences():

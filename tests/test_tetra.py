@@ -16,11 +16,13 @@ from flagdual import (Flag, GaussRational, MinimalCoords,
 from flagdual.errors import DegenerateInput, NotVeryGeneric, OutOfDomain
 from flagdual.flags import normalize_to_standard
 from flagdual.projective import restrict_to_p1, vcross
-from flagdual.tetra import CANONICAL_FACES, EVEN_COMPLETION, FACE_OPPOSITE, \
-    face_class, perm_parity
+from flagdual.scalars import is_exact
+from flagdual.tetra import CANONICAL_FACES, CHART_FACTORS, EVEN_COMPLETION, \
+    FACE_OPPOSITE, face_class, perm_parity
 
 from helpers import (dilog_quadrature, proportional, rand_exact_flag_tetra,
-                     rand_exact_tetra, rand_gauss_rational)
+                     rand_exact_minimal, rand_exact_tetra, rand_float_scalar,
+                     rand_gauss_rational)
 
 
 def test_even_completion_table_is_even():
@@ -164,6 +166,54 @@ def test_validation_refuses_every_small_corruption():
                     1j * rng.uniform(-3.14, 3.14))
                 with pytest.raises(DegenerateInput):
                     TetraCoords(**values)
+
+
+def test_validation_refuses_every_relative_corruption():
+    # a change of relative size 1e-5, in a random direction, to any one of
+    # the 16 values, on shapes of modulus 0.1 to 10: the face relation is
+    # compared as a ratio, so faces of small modulus are refused too
+    rng = random.Random(11)
+    for _ in range(2000):
+        c = complete_from_minimal(
+            [cmath.rect(10 ** rng.uniform(-1, 1), rng.uniform(-3.14, 3.14))
+             for _ in range(4)])
+        for which in ("edge", "face"):
+            for key in getattr(c, which):
+                values = {"edge": dict(c.edge), "face": dict(c.face)}
+                values[which][key] *= 1 + 1e-5 * cmath.exp(
+                    1j * rng.uniform(-3.14, 3.14))
+                with pytest.raises(DegenerateInput):
+                    TetraCoords(**values)
+
+
+def _chart_value(m, sign, factors):
+    value = sign
+    for idx, shape, power in factors:
+        z = m[idx]
+        s = (z, 1 / (1 - z), 1 - 1 / z)[shape]
+        value = value * s if power == 1 else value / s
+    return value
+
+
+def test_chart_table_matches_measured_coordinates():
+    # every key of CHART_FACTORS, evaluated on the minimal coordinates,
+    # against the value measured from the flags reconstruct builds: edges
+    # by edge_coords, each ordering of a face by triple_ratio
+    rng = random.Random(64)
+    assert len(CHART_FACTORS) == 36
+    for _ in range(40):
+        for m in (rand_exact_minimal(rng),
+                  tuple(rand_float_scalar(rng) for _ in range(4))):
+            t = reconstruct(m)
+            c = edge_coords(t)
+            for key, (sign, factors) in CHART_FACTORS.items():
+                measured = c.edge_value(*key) if len(key) == 2 else \
+                    triple_ratio(*(t[v - 1] for v in key))
+                value = _chart_value(m, sign, factors)
+                if is_exact(value):
+                    assert value == measured, key
+                else:
+                    assert abs(value - measured) <= 1e-12 * abs(measured)
 
 
 def test_domain_errors():
