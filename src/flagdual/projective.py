@@ -40,6 +40,25 @@ def negligible(value, *operands) -> bool:
     return abs(value) <= DEGENERACY_TOL * (scale + 1e-300)
 
 
+def _balanced(p: "ProjPoint1"):
+    """The pair (a, b) of p; on floats multiplied by the power of two that
+    brings its largest real or imaginary part into [0.5, 1).  The scaling
+    is exact, so every minor and cross-ratio of balanced pairs is the one
+    of the given pairs, except that it can no longer underflow or
+    overflow."""
+    a, b = p.a, p.b
+    if is_exact(a):
+        return a, b
+    parts = (a.real, a.imag, b.real, b.imag)
+    e = -math.frexp(max(map(abs, parts)))[1]
+    ar, ai, br, bi = (math.ldexp(t, e) for t in parts)
+    return complex(ar, ai), complex(br, bi)
+
+
+def _minor(p, q):
+    return p[0] * q[1] - q[0] * p[1]
+
+
 class ProjPoint1:
     """A point [a : b] of the projective line."""
 
@@ -61,8 +80,8 @@ class ProjPoint1:
         return cls(1, 0)
 
     def same_point(self, other: "ProjPoint1") -> bool:
-        d = self.a * other.b - other.a * self.b
-        return negligible(d, (self.a, self.b), (other.a, other.b))
+        p, q = _balanced(self), _balanced(other)
+        return negligible(_minor(p, q), p, q)
 
     def __repr__(self):
         return f"[{self.a} : {self.b}]"
@@ -74,20 +93,19 @@ def cross_ratio(x1: ProjPoint1, x2: ProjPoint1, x3: ProjPoint1,
 
     Normalized so that ([1:0], [0:1], [1:1], [z:1]) maps to z, i.e. the
     value at x4 of the fractional linear map sending x1, x2, x3 to
-    infinity, 0, 1.
+    infinity, 0, 1.  The points are balanced first (see _balanced), so
+    rescaling a representative never changes the value.
     """
-    pts = (x1, x2, x3, x4)
+    pts = [_balanced(p) for p in (x1, x2, x3, x4)]
+    m = {}
     for i in range(4):
         for j in range(i + 1, 4):
-            if pts[i].same_point(pts[j]):
+            m[i, j] = _minor(pts[i], pts[j])
+            if negligible(m[i, j], pts[i], pts[j]):
                 raise DegenerateInput(
                     f"cross_ratio of coincident points (args {i + 1} and {j + 1})")
-
-    def m(p, q):
-        return p.a * q.b - q.a * p.b
-
-    num = m(x1, x3) * m(x2, x4)
-    den = m(x1, x4) * m(x2, x3)
+    num = m[0, 2] * m[1, 3]
+    den = m[0, 3] * m[1, 2]
     if den == 0:
         raise DegenerateInput("cross_ratio denominator vanished")
     return num / den

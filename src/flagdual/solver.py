@@ -22,6 +22,17 @@ a dense SVD solve (``numpy.linalg.lstsq``); above that, a matrix-free
 CGLS iteration on the sparse Jacobian, started from zero so that its
 iterates stay in the row space of the Jacobian and converge to the same
 minimum-norm step (Paige & Saunders, ACM TOMS 8, 1982).
+
+The CGLS steps are inexact Gauss-Newton steps: each is solved only to
+the relative tolerance eta = max(CGLS_RTOL, min(CGLS_RTOL_MAX,
+CGLS_FORCING * max|r|)) for the residual r it starts from (forcing_term),
+a forcing term in the sense of Dembo, Eisenstat & Steihaug (SIAM J.
+Numer. Anal. 19, 1982) and Eisenstat & Walker (SIAM J. Sci. Comput. 17,
+1996), so far from the variety a step costs few iterations, and
+CGLS_RTOL is the floor reached as the residual falls.  A truncated step
+still lies in the row space of the Jacobian and is no longer than the
+minimum-norm step (CGLS iterate norms grow monotonically), so the solver
+still moves to a nearby point of the variety.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ import numpy as np
 from .complexes import DecoratedComplex, Decoration, is_consistent
 from .errors import LeftDomain, SolverDiverged, Unsupported
 from .tetra import CHART_FACTORS, complete_from_minimal
-from .tolerances import CGLS_RTOL
+from .tolerances import CGLS_FORCING, CGLS_RTOL, CGLS_RTOL_MAX
 
 DOMAIN_RADIUS = 1e-8  # forbidden disks around 0 and 1
 ARMIJO_C1 = 1e-4
@@ -85,22 +96,18 @@ class ConsistencySystem:
         self.n_unknowns = n = 4 * triangulation.n
         # one residual per row of the triangulation's gluing equations
         self.products = triangulation.equations
-        table, constants = [], []
-        for row, terms in enumerate(self.products):
-            const = 1.0
-            for tet, vertices in terms:
-                sign, factors = CHART_FACTORS[vertices]
-                const *= sign
-                for idx, shape, power in factors:
-                    table.append((row, 4 * tet + idx, shape, power))
-            constants.append(const)
+        # the CHART_FACTORS signs of a row multiply to +1 (a face row
+        # holds two face terms, an edge row none), so they are dropped
+        table = [(row, 4 * tet + idx, shape, power)
+                 for row, terms in enumerate(self.products)
+                 for tet, vertices in terms
+                 for idx, shape, power in CHART_FACTORS[vertices][1]]
 
         # the factor table, sorted by row and then column; every row has
         # at least one factor (a face has six, an edge class a member)
         table = np.array(table, dtype=np.intp).reshape(-1, 4)
         row, col, shape, power = table[np.lexsort((table[:, 1],
                                                    table[:, 0]))].T
-        self._const = np.array(constants, dtype=complex)
         self._row_start = np.flatnonzero(np.diff(row, prepend=-1))
         # index into the shape table [m, 1/(1-m), 1-1/m] of all unknowns
         # (the shape order of tetra.ID, C1, C2), shifted by 3n for a
@@ -122,7 +129,7 @@ class ConsistencySystem:
         inv = 1.0 / m
         shapes = np.concatenate((m, 1.0 / (1.0 - m), 1.0 - inv))
         values = np.concatenate((shapes, 1.0 / shapes))[self._value_index]
-        prod = self._const * np.multiply.reduceat(values, self._row_start)
+        prod = np.multiply.reduceat(values, self._row_start)
         if not want_jacobian:
             return prod - 1.0, None
         # logarithmic derivatives of the shapes: 1/m, 1/(1-m), 1/(m(m-1))
@@ -137,22 +144,23 @@ class ConsistencySystem:
         return self.residuals_and_jacobian(m, want_jacobian=False)[0]
 
 
-def cgls(jac, b):
+def cgls(jac, b, rtol):
     """Minimum-norm least-squares solution of ``jac x = b`` by CGLS.
 
     Started from x = 0, every iterate lies in the row space of ``jac``,
     so on a rank-deficient ``jac`` the limit is the minimum-norm
-    solution.  Only ``jac.matvec`` and ``jac.rmatvec`` are used.  Stops
-    when |J^H s| <= CGLS_RTOL |J^H b| for the current residual
-    s = b - J x, or after CGLS_MAX_ITER_FACTOR iterations per unknown.
-    Returns (x, iterations).
+    solution, and the iterate norms grow monotonically towards its
+    norm.  Only ``jac.matvec`` and ``jac.rmatvec`` are used.  Stops when
+    |J^H s| <= rtol |J^H b| for the current residual s = b - J x, or
+    after CGLS_MAX_ITER_FACTOR iterations per unknown.  Returns
+    (x, iterations).
     """
     max_iter = CGLS_MAX_ITER_FACTOR * jac.shape[1]
     x = np.zeros(jac.shape[1], dtype=complex)
     s = np.array(b, dtype=complex)
     p = z = jac.rmatvec(s)
     gamma = float(np.vdot(z, z).real)
-    stop = gamma * CGLS_RTOL ** 2
+    stop = gamma * rtol ** 2
     it = 0
     while gamma > stop and it < max_iter:
         q = jac.matvec(p)
@@ -190,7 +198,8 @@ def _domain_distance(m) -> float:
 class IterationRecord:
     """One Gauss-Newton iteration.  ``max_residual`` and ``residual_sq``
     (max |r| and |r|^2) are taken after the accepted step; ``rank`` is
-    set by the dense step, ``inner_iterations`` by the matrix-free one."""
+    set by the dense step, ``inner_iterations`` and ``inner_rtol`` (the
+    CGLS tolerance, see forcing_term) by the matrix-free one."""
 
     max_residual: float
     residual_sq: float
@@ -199,6 +208,7 @@ class IterationRecord:
     halvings: int
     rank: int | None = None
     inner_iterations: int | None = None
+    inner_rtol: float | None = None
 
 
 @dataclass
@@ -209,14 +219,23 @@ class SolveResult:
     history: list[IterationRecord] = field(default_factory=list)
 
 
+def forcing_term(residual: float) -> float:
+    """CGLS tolerance of a step from a point of max residual |r|:
+    CGLS_FORCING |r|, clamped to [CGLS_RTOL, CGLS_RTOL_MAX]."""
+    return max(CGLS_RTOL, min(CGLS_RTOL_MAX, CGLS_FORCING * residual))
+
+
 def _gauss_newton_step(system: ConsistencySystem, jac, r):
-    """Minimum-norm solution of jac @ step = -r: (step, rank, inner
-    iterations), the last two None for the method not used."""
+    """Minimum-norm solution of jac @ step = -r, exact on the dense path
+    and to the forcing term of max |r| on the matrix-free one: (step,
+    rank, inner iterations, inner rtol), None for what the method used
+    does not set."""
     if system.n_unknowns <= DENSE_MAX_UNKNOWNS:
         step, _, rank, _ = np.linalg.lstsq(jac.toarray(), -r, rcond=None)
-        return step, int(rank), None
-    step, inner = cgls(jac, -r)
-    return step, None, inner
+        return step, int(rank), None, None
+    rtol = forcing_term(float(np.max(np.abs(r))))
+    step, inner = cgls(jac, -r, rtol)
+    return step, None, inner, rtol
 
 
 def solve_consistency(dc: DecoratedComplex, tol=1e-12) -> SolveResult:
@@ -248,7 +267,7 @@ def solve_consistency(dc: DecoratedComplex, tol=1e-12) -> SolveResult:
     for it in range(1, MAX_ITER + 1):
         r, jac = system.residuals_and_jacobian(m)
         f0 = float(np.vdot(r, r).real)
-        step, rank, inner = _gauss_newton_step(system, jac, r)
+        step, rank, inner, rtol = _gauss_newton_step(system, jac, r)
         alpha = 1.0
         for halvings in range(MAX_HALVINGS + 1):
             trial = m + alpha * step
@@ -271,7 +290,7 @@ def solve_consistency(dc: DecoratedComplex, tol=1e-12) -> SolveResult:
         residual = float(np.max(np.abs(r_new)))
         history.append(IterationRecord(
             residual, f_new, float(np.linalg.norm(step)), alpha, halvings,
-            rank, inner))
+            rank, inner, rtol))
         if residual < tol:
             return SolveResult(complex_from_vector(dc, m), it, residual,
                                history)

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagdual import (Flag, GaussRational, Mat3, ProjPoint1, cr_flag,
                       cross_ratio, heisenberg_null_point,
@@ -86,6 +88,53 @@ def test_multiplicative_cocycle_six_points():
                * cross_ratio(a1, a2, b2, b3)
                * cross_ratio(a1, a2, b3, b4))
         assert lhs == rhs
+
+
+def test_cross_ratio_of_tiny_representatives():
+    # the 2x2 minors of these representatives underflow: they must be
+    # taken after rescaling, not read as coincident points
+    s = 1e-160
+    pts = [ProjPoint1(s, 0.0), ProjPoint1(0.0, s), ProjPoint1(s, s),
+           ProjPoint1(2.5 * s, s)]
+    assert not pts[0].same_point(pts[1])
+    assert cross_ratio(*pts) == 2.5
+    frame = [ProjPoint1(1.0, 0.0), ProjPoint1(0.0, 1.0), ProjPoint1(1.0, 1.0)]
+    for a, b in ((1e-300, 4e-301), (3e-50, -2.4e-50 + 9e-50j)):
+        assert abs(cross_ratio(*frame, ProjPoint1(a, b)) - a / b) <= \
+            1e-15 * abs(a / b)
+
+
+# real and imaginary parts that stay normal floats at any scale 2^k,
+# |k| <= 500, so that the scaled representatives are exact
+_PART = st.one_of(st.just(0.0), st.floats(1e-3, 4.0),
+                  st.floats(-4.0, -1e-3))
+_PAIR = st.tuples(st.builds(complex, _PART, _PART),
+                  st.builds(complex, _PART, _PART)).filter(
+    lambda ab: ab != (0, 0))
+
+
+def _scaled(z, k):
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
+def _cross_ratio_or_error(pts):
+    try:
+        return cross_ratio(*pts)
+    except DegenerateInput as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PAIR, min_size=4, max_size=4),
+       st.lists(st.integers(-500, 500), min_size=4, max_size=4))
+def test_power_of_two_rescaling_changes_no_answer(pairs, ks):
+    pts = [ProjPoint1(a, b) for a, b in pairs]
+    scaled = [ProjPoint1(_scaled(a, k), _scaled(b, k))
+              for (a, b), k in zip(pairs, ks)]
+    for i in range(4):
+        for j in range(4):
+            assert scaled[i].same_point(scaled[j]) == pts[i].same_point(pts[j])
+    assert _cross_ratio_or_error(scaled) == _cross_ratio_or_error(pts)
 
 
 def test_mat3_examples():

@@ -11,17 +11,21 @@ import pytest
 
 from flagdual import (DecoratedComplex, Decoration, canonicalize_six,
                       check_edges, check_faces, complete_from_minimal,
-                      duality_defect, dualize, solve_consistency,
+                      duality_defect, dualize, solve_consistency, solver,
                       volume_complex)
 from flagdual.bundled import (GEOMETRIC_SHAPE, figure_eight_complex,
+                              figure_eight_triangulation,
                               single_tetra_triangulation,
-                              twisted_double_complex)
+                              twisted_double_complex,
+                              twisted_double_triangulation)
 from flagdual.errors import LeftDomain, SolverDiverged, Unsupported
 from flagdual.solver import (DENSE_MAX_UNKNOWNS, ConsistencySystem, cgls,
-                             complex_from_vector, minimal_vector)
+                             complex_from_vector, forcing_term,
+                             minimal_vector)
 from flagdual.tetra import C1, C2, CHART_FACTORS, ID
+from flagdual.tolerances import CGLS_RTOL, CGLS_RTOL_MAX
 
-from helpers import (finite_difference_jacobian, lifted_cover,
+from helpers import (cyclic_cover, finite_difference_jacobian, lifted_cover,
                      reversed_face_order_cover)
 
 
@@ -164,7 +168,8 @@ def test_history_records_every_dense_iteration():
     assert len(history) == result.iterations >= 1
     assert history[-1].max_residual == result.residual
     for rec in history:
-        assert rec.rank == 6 and rec.inner_iterations is None
+        assert rec.rank == 6
+        assert rec.inner_iterations is None and rec.inner_rtol is None
         assert 0.0 < rec.alpha <= 1.0
         assert rec.alpha == 0.5 ** rec.halvings
         assert rec.step_norm > 0.0
@@ -176,10 +181,20 @@ def test_history_records_every_dense_iteration():
 def test_matrix_free_solve_on_cover():
     lift = lifted_cover(figure_eight_complex(), 32, (3, 5, 7, 11))
     assert 4 * lift.triangulation.n > DENSE_MAX_UNKNOWNS
-    result = solve_consistency(_perturbed(lift))
+    start = _perturbed(lift)
+    result = solve_consistency(start)
     assert result.residual < 1e-12
-    assert all(rec.rank is None and rec.inner_iterations > 0
-               for rec in result.history)
+    for rec in result.history:
+        assert rec.rank is None and rec.inner_iterations > 0
+        # each step is solved to the forcing term of the residual it
+        # starts from, between the floor and the cap
+        assert CGLS_RTOL <= rec.inner_rtol <= CGLS_RTOL_MAX
+    system = ConsistencySystem(lift.triangulation)
+    starts = [float(np.max(np.abs(system.residuals(minimal_vector(start)))))]
+    starts += [rec.max_residual for rec in result.history[:-1]]
+    assert [rec.inner_rtol for rec in result.history] == \
+        [forcing_term(x) for x in starts]
+    assert result.history[0].inner_rtol > CGLS_RTOL
     dc = result.decorated
     dual = dualize(dc)
     for side in (dc, dual):
@@ -203,10 +218,59 @@ def test_matrix_free_step_is_the_minimum_norm_step(n):
     dense = jac.toarray()
     assert np.linalg.matrix_rank(dense) < min(dense.shape)
     reference = np.linalg.lstsq(dense, -r, rcond=None)[0]
-    step, inner = cgls(jac, -r)
+    step, inner = cgls(jac, -r, CGLS_RTOL)
     assert 0 < inner
     assert np.linalg.norm(step - reference) <= \
         1e-8 * np.linalg.norm(reference)
+    # a step truncated at a loose tolerance, as the forcing term sets it
+    # far from the variety, still lies in the row space of J (orthogonal
+    # to its null space) and is no longer than the minimum-norm step
+    loose, loose_inner = cgls(jac, -r, CGLS_RTOL_MAX)
+    assert 0 < loose_inner < inner
+    _, sv, vh = np.linalg.svd(dense)
+    null = vh[np.sum(sv > 1e-10 * sv[0]):]
+    assert null.shape[0] > 0
+    assert np.linalg.norm(null @ loose) <= 1e-10 * np.linalg.norm(loose)
+    assert np.linalg.norm(loose) <= np.linalg.norm(reference)
+
+
+def test_inexact_steps_cut_the_inner_work(monkeypatch):
+    # a deterministic work gate: against the same solver with every step
+    # solved to the floor CGLS_RTOL (forcing constant 0), the forcing
+    # term takes no more Gauss-Newton steps and at most 0.6x the CGLS
+    # iterations on a perturbed 64-fold (1,0,0,0) cover
+    start = _perturbed(lifted_cover(figure_eight_complex(), 64,
+                                    (1, 0, 0, 0)))
+    inexact = solve_consistency(start)
+    monkeypatch.setattr(solver, "CGLS_FORCING", 0.0)
+    exact = solve_consistency(start)
+    assert {rec.inner_rtol for rec in exact.history} == {CGLS_RTOL}
+
+    def work(result):
+        return sum(rec.inner_iterations for rec in result.history)
+
+    assert inexact.iterations <= exact.iterations
+    assert work(inexact) <= 0.6 * work(exact)
+    assert inexact.residual < 1e-12
+    gap = np.max(np.abs(minimal_vector(inexact.decorated)
+                        - minimal_vector(exact.decorated)))
+    assert gap < 1e-6  # against a perturbation of 1e-3
+
+
+@pytest.mark.parametrize("tri", [
+    figure_eight_triangulation(), twisted_double_triangulation(),
+    single_tetra_triangulation(),
+    *(cyclic_cover(64, v) for v in ((1, 0, 0, 0), (1, 1, 0, 0),
+                                    (3, 5, 7, 11))),
+    reversed_face_order_cover()],
+    ids=["figure8", "double", "single", "cover1000", "cover1100",
+         "cover357_11", "reversed"])
+def test_chart_signs_of_every_row_multiply_to_one(tri):
+    # ConsistencySystem drops the CHART_FACTORS signs: a face row holds
+    # two face terms (sign -1 each), an edge row only edges (sign +1)
+    for row in tri.equations:
+        assert np.prod([CHART_FACTORS[vertices][0]
+                        for _, vertices in row]) == 1
 
 
 def _factors(row):
