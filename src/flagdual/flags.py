@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DegenerateInput, NotOnSphere
-from .projective import Mat3, ProjPoint1, det3, negligible, vdot
+from .projective import Mat3, ProjPoint1, balanced, det3, negligible, vdot
 from .scalars import GaussRational, exactify, is_exact, normalize_values
 
 
@@ -83,25 +83,30 @@ class FlagTuple:
 
 
 def cross_pairings(t) -> dict:
-    """{(i, j): f_i(x_j)} for distinct flags of t (numbered from 1);
+    """{(i, j): f_i(x_j)} for distinct flags of t (numbered from 1), of the
+    balanced points and lines (see projective.balanced), as point_minors;
     DegenerateInput names the first pairing that vanishes."""
+    points = [balanced(f.point)[0] for f in t]
+    lines = [balanced(f.line)[0] for f in t]
     out = {}
-    for i, fi in enumerate(t, 1):
-        for j, fj in enumerate(t, 1):
+    for i, u in enumerate(lines, 1):
+        for j, x in enumerate(points, 1):
             if i != j:
-                v = vdot(fi.line, fj.point)
-                if negligible(v, fi.line, fj.point):
+                v = vdot(u, x)
+                if negligible(v, u, x):
                     raise DegenerateInput(f"pairing f{i}(x{j}) vanishes")
                 out[(i, j)] = v
     return out
 
 
 def point_minors(t) -> dict:
-    """{(i, j, k): det(x_i, x_j, x_k)} for i < j < k; DegenerateInput
-    names the first three collinear points (on t.dual(), lines)."""
+    """{(i, j, k): det(x_i, x_j, x_k)} for i < j < k, of the balanced
+    points (see projective.balanced); DegenerateInput names the first
+    three collinear points (on t.dual(), lines)."""
+    points = [balanced(f.point)[0] for f in t]
     out = {}
     for key in combinations(range(1, len(t) + 1), 3):
-        cols = [t[v - 1].point for v in key]
+        cols = [points[v - 1] for v in key]
         d = det3(*cols)
         if negligible(d, *cols):
             raise DegenerateInput(
@@ -134,11 +139,12 @@ def normalize_to_standard(t) -> Mat3:
 
     Accepts a FlagTuple or a plain list of four point triples and returns
     the unique (up to scale) matrix carrying them to [1,0,0], [0,1,0],
-    [0,0,1], [1,1,1] in order.
+    [0,0,1], [1,1,1] in order, from the balanced points (see balanced).
     """
     pts = t.points() if isinstance(t, FlagTuple) else [tuple(p) for p in t]
     if len(pts) != 4:
         raise DegenerateInput("need exactly four points")
+    pts = [balanced(p)[0] for p in pts]
     p1, p2, p3, p4 = pts
     d = det3(p1, p2, p3)
     if negligible(d, p1, p2, p3):

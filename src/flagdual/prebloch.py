@@ -5,13 +5,17 @@ A FormalSum is an integer combination of generators in C\\{0,1}.  The two
 rewriting relations [1/z] = -[z] and [1-z] = -[z] generate a six-element
 orbit on generators; canonicalize_six rewrites a sum onto one chosen
 representative per orbit, which kills every instance of those relations.
+The exceptional orbit {-1, 2, 1/2}, on which they force 2[x] = 0, is
+recognised by its representative (-1 exact, 1/2 within the float merge
+distance), and its coefficient reduces mod 2.
 The five-term relation itself is not rewritten (deciding equality modulo
 it is out of scope); it is available as a generator of test sums, and the
 dilogarithm and the delta map both annihilate it, which is how sums are
 compared in practice.
 
 delta computes z wedge (1-z) in the wedge square of Q(i)* modulo torsion:
-units are discarded and only Gaussian-prime exponent vectors are kept.
+units are discarded and only Gaussian-prime exponent vectors are kept,
+and the result is its sorted nonzero coefficients on wedges of primes.
 Its vanishing is a necessary condition for a class to lie in the Bloch
 group (never claimed sufficient here).
 """
@@ -162,7 +166,7 @@ class FormalSum:
         return FormalSum(list(self.terms) + list(other.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        return FormalSum(list(self.terms) + [(g, -n) for g, n in other.terms])
 
     def __neg__(self):
         return FormalSum([(g, -n) for g, n in self.terms])
@@ -305,81 +309,63 @@ def _orbit_rep(orbit):
         def key(v):
             # the phase; cmath.phase raises on a subnormal imaginary part
             return (abs(v), math.atan2(v.imag, v.real), v.real)
-    best = min(orbit, key=lambda t: key(t[0]))
-    return best
+    return min(orbit, key=lambda t: key(t[0]))
+
+
+# the representatives of the exceptional orbit {-1, 2, 1/2}, exact and
+# float; a float representative is it when it merges with 0.5
+_EXCEPTIONAL_REP = _orbit_rep(six_orbit(GaussRational(-1)))[0]
+_EXCEPTIONAL_REP_FLOAT = 0.5
 
 
 def canonicalize_six(s: FormalSum) -> FormalSum:
     """Rewrite each generator to its six-orbit representative.
 
     Sums equal modulo the relations [1/z] = -[z], [1-z] = -[z]
-    canonicalize identically.  On the exceptional orbit {-1, 2, 1/2},
-    where the two relations force 2[x] = 0, coefficients reduce mod 2.
-    Float representatives fall into classes by the same merge rule as
-    FormalSum generators.
+    canonicalize identically.  The representatives are merged once, as
+    FormalSum generators; the exceptional orbit {-1, 2, 1/2}, where the
+    two relations force 2[x] = 0, is recognised by its representative,
+    and its coefficient reduces mod 2.
     """
-    classes = {}  # representative -> [coeff, is_special]
-    for g, n in s.terms:
-        exact = isinstance(g, GaussRational)
-        orbit = six_orbit(g)
-        rep, rep_sign = _orbit_rep(orbit)
-        # a value recurring with both signs marks the exceptional orbit
-        special = any(
-            orbit[i][1] != orbit[j][1]
-            and (orbit[i][0] == orbit[j][0] if exact
-                 else _close(orbit[i][0], orbit[j][0]))
-            for i in range(6) for j in range(i + 1, 6))
-        cls = classes.setdefault(rep, [0, False])
-        # [g] occupies the +1 slot of its own orbit, so [g] = rep_sign [rep];
-        # in the exceptional orbit the sign is immaterial modulo 2
-        cls[0] += n if special else n * rep_sign
-        cls[1] = cls[1] or special
-
-    out = []
-    for group in _merge_groups(list(classes)):
-        coeff = sum(classes[rep][0] for rep in group)
-        if any(classes[rep][1] for rep in group):
-            coeff %= 2
-        if coeff:
-            out.append((min(group, key=_sort_key), coeff))
-    return FormalSum(out)
+    # [g] occupies the +1 slot of its own orbit, so [g] = sign [rep]
+    reps = [(_orbit_rep(six_orbit(g)), n) for g, n in s.terms]
+    out = FormalSum([(rep, n * sign) for (rep, sign), n in reps])
+    terms = []
+    for rep, n in out.terms:
+        if (rep == _EXCEPTIONAL_REP if isinstance(rep, GaussRational)
+                else _close(rep, _EXCEPTIONAL_REP_FLOAT)):
+            n %= 2
+        if n:
+            terms.append((rep, n))
+    out.terms = tuple(terms)
+    return out
 
 
 # -- exact delta --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WedgeElement:
-    """Antisymmetric integer matrix over a basis of Gaussian primes.
+    """An element of the wedge square of Q(i)* tensor Q, unit torsion
+    discarded: sorted nonzero terms (p, q, c) for c (p wedge q), p before
+    q in prime_key order."""
 
-    Represents an element of the wedge square of Q(i)* tensor Q with unit
-    torsion discarded; the (i, j) entry is the coefficient of the wedge of
-    basis primes i and j.
-    """
-
-    basis: tuple  # normalized Gaussian primes (a, b), canonically sorted
-    matrix: tuple  # rows of ints, antisymmetric
+    terms: tuple
 
     def is_zero(self) -> bool:
-        return all(all(e == 0 for e in row) for row in self.matrix)
+        return not self.terms
 
     def entries(self):
-        """Nonzero upper-triangle entries as (prime, prime, coefficient)."""
-        out = []
-        for i, row in enumerate(self.matrix):
-            for j in range(i + 1, len(row)):
-                if row[j]:
-                    out.append((self.basis[i], self.basis[j], row[j]))
-        return out
+        """The nonzero terms as (prime, prime, coefficient)."""
+        return list(self.terms)
 
     def __str__(self):
-        ent = self.entries()
-        if not ent:
+        if not self.terms:
             return "0"
 
         def pstr(p):
             return f"({p[0]}{'+' if p[1] >= 0 else '-'}{abs(p[1])}i)"
 
-        return " + ".join(f"{c}*{pstr(p)}^{pstr(q)}" for p, q, c in ent)
+        return " + ".join(f"{c}*{pstr(p)}^{pstr(q)}" for p, q, c in self.terms)
 
 
 def delta_exact(s: FormalSum) -> WedgeElement:
@@ -388,20 +374,18 @@ def delta_exact(s: FormalSum) -> WedgeElement:
     Exact generators only.  Vanishing is necessary for the class to lie
     in the Bloch group up to torsion; it is not sufficient.
     """
-    vecs = []
+    coeffs = {}  # (p, q), p before q in prime_key order -> coefficient
     for g, n in s.terms:
         if not isinstance(g, GaussRational):
             raise Unsupported("delta_exact requires exact generators")
-        vecs.append((n, exponent_vector(g), exponent_vector(1 - g)))
-    primes = sorted({p for _, v, u in vecs for p in (*v, *u)},
-                    key=prime_key)
-    index = {p: i for i, p in enumerate(primes)}
-    b = len(primes)
-    m = [[0] * b for _ in range(b)]
-    for n, v, u in vecs:
-        for p, e in v.items():
+        u = exponent_vector(1 - g)
+        for p, e in exponent_vector(g).items():
             for q, f in u.items():
-                i, j = index[p], index[q]
-                m[i][j] += n * e * f
-                m[j][i] -= n * e * f
-    return WedgeElement(tuple(primes), tuple(tuple(r) for r in m))
+                # p wedge p = 0, and q wedge p = -(p wedge q)
+                if prime_key(p) < prime_key(q):
+                    coeffs[p, q] = coeffs.get((p, q), 0) + n * e * f
+                elif p != q:
+                    coeffs[q, p] = coeffs.get((q, p), 0) - n * e * f
+    terms = sorted(((p, q, c) for (p, q), c in coeffs.items() if c),
+                   key=lambda t: (prime_key(t[0]), prime_key(t[1])))
+    return WedgeElement(tuple(terms))

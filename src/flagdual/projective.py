@@ -40,19 +40,20 @@ def negligible(value, *operands) -> bool:
     return abs(value) <= DEGENERACY_TOL * (scale + 1e-300)
 
 
-def _balanced(p: "ProjPoint1"):
-    """The pair (a, b) of p; on floats multiplied by the power of two that
-    brings its largest real or imaginary part into [0.5, 1).  The scaling
-    is exact, so every minor and cross-ratio of balanced pairs is the one
-    of the given pairs, except that it can no longer underflow or
-    overflow."""
-    a, b = p.a, p.b
-    if is_exact(a):
-        return a, b
-    parts = (a.real, a.imag, b.real, b.imag)
-    e = -math.frexp(max(map(abs, parts)))[1]
-    ar, ai, br, bi = (math.ldexp(t, e) for t in parts)
-    return complex(ar, ai), complex(br, bi)
+def balanced(values):
+    """(values, e): on floats the values times the power of two 2^e that
+    brings their largest real or imaginary part into [0.5, 1); values all
+    exact come back as they are, with e = 0.  The scaling is exact, so a
+    minor of balanced points is the one of the given points times a power
+    of two, except that it can no longer underflow or overflow."""
+    if all(map(is_exact, values)):
+        return tuple(values), 0
+    e = -math.frexp(max(max(abs(c.real), abs(c.imag)) for c in values))[1]
+    return tuple(_ldexp(c, e) for c in values), e
+
+
+def _ldexp(c: complex, e: int) -> complex:
+    return complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
 
 
 def _minor(p, q):
@@ -80,7 +81,7 @@ class ProjPoint1:
         return cls(1, 0)
 
     def same_point(self, other: "ProjPoint1") -> bool:
-        p, q = _balanced(self), _balanced(other)
+        p, q = balanced((self.a, self.b))[0], balanced((other.a, other.b))[0]
         return negligible(_minor(p, q), p, q)
 
     def __repr__(self):
@@ -93,10 +94,10 @@ def cross_ratio(x1: ProjPoint1, x2: ProjPoint1, x3: ProjPoint1,
 
     Normalized so that ([1:0], [0:1], [1:1], [z:1]) maps to z, i.e. the
     value at x4 of the fractional linear map sending x1, x2, x3 to
-    infinity, 0, 1.  The points are balanced first (see _balanced), so
+    infinity, 0, 1.  The points are balanced first (see balanced), so
     rescaling a representative never changes the value.
     """
-    pts = [_balanced(p) for p in (x1, x2, x3, x4)]
+    pts = [balanced((p.a, p.b))[0] for p in (x1, x2, x3, x4)]
     m = {}
     for i in range(4):
         for j in range(i + 1, 4):
@@ -167,16 +168,24 @@ class Mat3:
         return Mat3.from_columns(*(self.apply(c) for c in cols))
 
     def inverse(self) -> "Mat3":
-        d = self.det()
-        if negligible(d, *self.rows):
+        # the balanced rows form D M, D diagonal of powers of two 2^e_i,
+        # and M^-1 = (D M)^-1 D: column i comes back multiplied by 2^e_i
+        r, exps = zip(*map(balanced, self.rows))
+        d = det3(*zip(*r))
+        if negligible(d, *r):
             raise SingularMatrix("matrix determinant is zero")
-        r = self.rows
         cof = [[0] * 3 for _ in range(3)]
         for i in range(3):
             for j in range(3):
                 a = r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
                 b = r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3]
                 cof[j][i] = (a - b) / d  # transpose of the cofactor matrix
+        if any(exps):
+            try:
+                cof = [[_ldexp(c, e) for c, e in zip(row, exps)]
+                       for row in cof]
+            except OverflowError:
+                raise SingularMatrix("matrix inverse overflows") from None
         return Mat3(cof)
 
     def __repr__(self):

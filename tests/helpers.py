@@ -14,6 +14,7 @@ from flagdual import (FlagTuple, GaussRational, Mat3, ProjPoint1, bundled,
                       very_generic)
 from flagdual.complexes import (DecoratedComplex, Decoration, FacePairing,
                                 IdealTriangulation)
+from flagdual.gaussian import exponent_vector, prime_key
 from flagdual.projective import negligible, vcross
 from flagdual.scalars import is_exact
 
@@ -209,6 +210,28 @@ def dilog_quadrature(z: complex) -> float:
                        limit=300)[0]
     return math.atan2((1 - z).imag, (1 - z).real) * math.log(abs(z)) \
         - im_integral
+
+
+# -- dense reference for the wedge square ---------------------------------------
+
+def delta_dense(s):
+    """delta of an exact formal sum as (basis, matrix): the basis is the
+    Gaussian primes met, in prime_key order, and matrix[i][j] the
+    coefficient of basis[i] wedge basis[j], filled for (i, j) and (j, i)
+    alike, so antisymmetric.  The oracle for prebloch.delta_exact."""
+    vecs = [(n, exponent_vector(g), exponent_vector(1 - g))
+            for g, n in s.terms]
+    primes = sorted({p for _, v, u in vecs for p in (*v, *u)},
+                    key=prime_key)
+    index = {p: i for i, p in enumerate(primes)}
+    m = [[0] * len(primes) for _ in primes]
+    for n, v, u in vecs:
+        for p, e in v.items():
+            for q, f in u.items():
+                i, j = index[p], index[q]
+                m[i][j] += n * e * f
+                m[j][i] -= n * e * f
+    return primes, m
 
 
 def classical_edge_products(triangulation, shape):

@@ -11,11 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flagdual import (FormalSum, GaussRational, canonicalize_six, delta_exact,
-                      dilog_D, eval_D, five_term, six_orbit)
+                      dilog_D, eval_D, five_term, prebloch, six_orbit)
 from flagdual.errors import BackendMismatch, OutOfDomain, Unsupported
-from flagdual.prebloch import MERGE_TOL
+from flagdual.gaussian import prime_key
+from flagdual.prebloch import MERGE_TOL, _orbit_rep
 
-from helpers import dilog_quadrature, rand_gauss_rational
+from helpers import delta_dense, dilog_quadrature, rand_gauss_rational
 
 
 def test_dilog_vanishes_on_reals():
@@ -373,6 +374,84 @@ def test_canonicalize_exceptional_orbit():
         FormalSum([(GaussRational(2), 1), (minus_one, 1)])).is_zero()
 
 
+def test_canonicalize_keeps_generators_near_zero_and_infinity():
+    # their orbits hold two values near 1 with opposite signs, as the
+    # exceptional orbit holds each of its values twice; they are not it
+    for g in (1e-13 + 0j, 3e12 + 1j):
+        (term,) = canonicalize_six(FormalSum([(g, 2)])).terms
+        assert abs(term[1]) == 2
+    assert canonicalize_six(FormalSum([(-1 + 1e-13j, 2)])).is_zero()
+
+
+_EXCEPTIONAL_EXACT = frozenset(
+    (GaussRational(-1), GaussRational(2), GaussRational(Fraction(1, 2))))
+
+
+def _canonicalize_by_brute_force(s, exceptional):
+    """Reference canonicalize_six, as {representative: coefficient}:
+    float representatives merged over all pairs, and the exceptional
+    orbit known by membership -- a class holding the representative of a
+    generator in `exceptional` reduces mod 2."""
+    pairs, special = [], set()
+    for g, n in s.terms:
+        rep, sign = _orbit_rep(six_orbit(g))
+        pairs.append((rep, n * sign))
+        if g in exceptional:
+            special.add(rep)
+    if all(isinstance(g, GaussRational) for g, _ in pairs):
+        merged = {}
+        for g, n in pairs:
+            merged[g] = merged.get(g, 0) + n
+    else:
+        merged = dict(_merge_by_all_pairs(pairs))
+    reduced = {g: n % 2 if g in special else n for g, n in merged.items()}
+    return {g: n for g, n in reduced.items() if n}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs(st.one_of(_EXACT_GENS, st.sampled_from(sorted(
+    _EXCEPTIONAL_EXACT, key=str)))))
+def test_canonicalize_matches_brute_force_exact(drawn):
+    _, pairs = drawn
+    s = FormalSum(pairs)
+    assert dict(canonicalize_six(s).terms) == \
+        _canonicalize_by_brute_force(s, _EXCEPTIONAL_EXACT)
+
+
+# floats within 1e-12 of the exceptional orbit {-1, 2, 1/2}
+_NEAR_EXCEPTIONAL = st.builds(
+    lambda e, r, phi: e + cmath.rect(r, phi), st.sampled_from((-1, 2, 0.5)),
+    st.floats(0, 1e-12), st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FLOAT_GENS, max_size=4),
+       st.lists(_NEAR_EXCEPTIONAL, max_size=4), st.data())
+def test_canonicalize_matches_brute_force_float(gens, near, data):
+    assume(gens or near)
+    pairs = data.draw(st.lists(
+        st.tuples(st.sampled_from(gens + near),
+                  st.integers(-3, 3).filter(bool)), min_size=1, max_size=20))
+    s = FormalSum(pairs)
+    assert dict(canonicalize_six(s).terms) == \
+        _canonicalize_by_brute_force(s, set(near))
+
+
+def test_canonicalize_merges_once(monkeypatch):
+    merge, calls = prebloch._merge_groups, []
+    monkeypatch.setattr(prebloch, "_merge_groups",
+                        lambda values: calls.append(1) or merge(values))
+    rng = random.Random(90)
+    for exact in (True, False):
+        s = FormalSum([(rand_gauss_rational(rng) if exact
+                        else complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                        rng.randint(1, 3)) for _ in range(8)]
+                      + [(GaussRational(-1) if exact else -1 + 0j, 3)])
+        calls.clear()
+        canonicalize_six(s)
+        assert len(calls) == 1
+
+
 def test_canonicalize_kills_relation_instances_mixed():
     rng = random.Random(86)
     for _ in range(30):
@@ -426,13 +505,24 @@ def test_delta_requires_exact():
         delta_exact(FormalSum.single(0.5 + 0.5j))
 
 
-def test_delta_antisymmetric_matrix():
+def test_delta_matches_dense_reference():
     rng = random.Random(88)
-    s = FormalSum([(rand_gauss_rational(rng), rng.randint(1, 3))
-                   for _ in range(4)])
-    d = delta_exact(s)
-    n = len(d.basis)
-    for i in range(n):
-        assert d.matrix[i][i] == 0
-        for j in range(n):
-            assert d.matrix[i][j] == -d.matrix[j][i]
+    sums = [FormalSum([(rand_gauss_rational(rng), rng.randint(-3, 3))
+                       for _ in range(rng.randint(1, 6))]) for _ in range(60)]
+    while len(sums) < 90:
+        x = rand_gauss_rational(rng, span=6)
+        y = rand_gauss_rational(rng, span=6)
+        if x != y:
+            sums.append(five_term(x, y))
+            sums.append(five_term(x, y) + FormalSum.single(y, 2))
+    for s in sums:
+        basis, m = delta_dense(s)
+        dense = [(basis[i], basis[j], m[i][j]) for i in range(len(basis))
+                 for j in range(i + 1, len(basis)) if m[i][j]]
+        d = delta_exact(s)
+        assert d.entries() == dense
+        assert d.is_zero() == (not dense)
+        keys = [(prime_key(p), prime_key(q)) for p, q, _ in d.terms]
+        assert all(kp < kq for kp, kq in keys)
+        assert keys == sorted(set(keys))
+        assert all(c for _, _, c in d.terms)

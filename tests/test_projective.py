@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagdual import (Flag, GaussRational, Mat3, ProjPoint1, cr_flag,
-                      cross_ratio, heisenberg_null_point,
-                      normalize_to_standard)
+from flagdual import (Flag, FlagTuple, GaussRational, Mat3, ProjPoint1,
+                      cr_flag, cross_ratio, edge_coords, heisenberg_null_point,
+                      normalize_to_standard, reconstruct)
 from flagdual.errors import DegenerateInput, NotOnSphere, SingularMatrix
 from flagdual.flags import cross_pairings, point_minors
 from flagdual.projective import negligible, restrict_to_p1, vcross
 
-from helpers import (apply_mobius, rand_gauss_rational, rand_mobius_exact,
-                     rand_p1_points_exact, rand_pgl3_exact)
+from helpers import (apply_mobius, proportional, rand_gauss_rational,
+                     rand_mobius_exact, rand_p1_points_exact, rand_pgl3_exact)
 
 
 def _affine(*vals):
@@ -336,9 +336,37 @@ def test_incident_flag_with_huge_finite_entry():
     flag = Flag((1e300, 0, 0), (0, 1, 0))
     assert flag.point == (1e300, 0, 0)
     # norms whose product overflows read every value as negligible
-    with pytest.raises(DegenerateInput):
-        normalize_to_standard([(1e200, 0, 0), (0, 1e200, 0), (0, 0, 1e200),
-                               (1, 1, 1)])
+    assert negligible(1 + 0j, (1e200, 0, 0), (0, 1e200, 0), (0, 0, 1e200))
+    # but normalize_to_standard balances its points first (see
+    # projective.balanced), so it takes the frame at that scale
+    frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    huge = [_times(1e200, p) for p in frame[:3]] + frame[3:]
+    m = normalize_to_standard(huge)
+    assert all(proportional(m.apply(p), q) for p, q in zip(huge, frame))
+
+
+def test_cp2_zero_tests_take_tiny_representatives():
+    # every minor of these triples, about 1e-330, underflows as computed
+    s = 1e-110
+    rows = [_times(s, r) for r in (P1, P2, (0, 1, 1 + 1j))]
+    product = Mat3(rows) @ Mat3(rows).inverse()
+    assert all(abs(product.rows[i][j] - (i == j)) < 1e-12
+               for i in range(3) for j in range(3))
+    frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    tiny = [_times(s, p) for p in frame]
+    m = normalize_to_standard(tiny)
+    assert all(proportional(m.apply(p), q) for p, q in zip(tiny, frame))
+
+
+def test_edge_coords_take_tiny_representatives():
+    # rescaling by powers of two is exact, so the coordinates are the
+    # same bits, although the raw minors of the points underflow
+    t = reconstruct((0.3 + 0.7j, 1.9 - 0.4j, -0.6 + 1.1j, 0.8 + 0.9j))
+    tiny = FlagTuple([Flag(_times(2.0 ** -(360 + j), f.point),
+                           _times(2.0 ** -(300 + 7 * j), f.line))
+                      for j, f in enumerate(t)])
+    c, c_tiny = edge_coords(t), edge_coords(tiny)
+    assert c_tiny.edge == c.edge and c_tiny.face == c.face
 
 
 def test_negligible_is_exact_or_relative():
