@@ -86,43 +86,33 @@ def _load(args):
     return fileio.read_complex(args.input, args.backend)
 
 
+# name -> (the complex made from --param, keep_flags)
+_EXAMPLES = {
+    "figure8": (lambda param: bundled.figure_eight_complex(), False),
+    "hyperbolic": (lambda param: bundled.hyperbolic_complex(
+        _parse_param(param or "2")), False),
+    "cr": (lambda param: bundled.cr_complex(), True),
+    "double": (lambda param: bundled.twisted_double_complex(), False),
+}
+
+
 def _cmd_example(args):
-    name = args.name
-    if name == "figure8":
-        dc, keep = bundled.figure_eight_complex(), False
-    elif name == "hyperbolic":
-        shape = _parse_param(args.param or "2")
-        dc, keep = bundled.hyperbolic_complex(shape), False
-    elif name == "cr":
-        dc, keep = bundled.cr_complex(), True
-    elif name == "double":
-        dc, keep = bundled.twisted_double_complex(), False
-    else:  # unreachable via argparse choices
-        raise ParseError(f"unknown example {name!r}")
-    _emit_complex(dc, args, keep_flags=keep)
+    build, keep = _EXAMPLES[args.name]
+    _emit_complex(build(args.param), args, keep_flags=keep)
     return 0
 
 
-def _cmd_coords(args):
-    dc = _load(args)
-    _emit_complex(dc, args)
+# verb -> rewrite of the loaded complex that the verb emits
+_REWRITES = {
+    "coords": lambda dc: dc,
+    "dualize": dualize,
+    "conjugate": conjugate_complex,
+}
+
+
+def _cmd_rewrite(args):
+    _emit_complex(_REWRITES[args.verb](_load(args)), args)
     return 0
-
-
-def _cmd_dualize(args):
-    dc = _load(args)
-    _emit_complex(dualize(dc), args)
-    return 0
-
-
-def _cmd_conjugate(args):
-    dc = _load(args)
-    _emit_complex(conjugate_complex(dc), args)
-    return 0
-
-
-def _fmt_res(x):
-    return f"{x:.3e}"
 
 
 def _cmd_check(args):
@@ -141,12 +131,12 @@ def _cmd_check(args):
     else:
         print(f"face equations ({len(faces.items)} pairings):")
         for it in faces.items:
-            print(f"  {it.label}   |prod-1| = {_fmt_res(it.residual)}")
+            print(f"  {it.label}   |prod-1| = {it.residual:.3e}")
         print(f"edge equations ({len(edges.items)} classes):")
         for it in edges.items:
-            print(f"  {it.label}   max|prod-1| = {_fmt_res(it.residual)}")
+            print(f"  {it.label}   max|prod-1| = {it.residual:.3e}")
         worst = worst_residual((faces.max_residual, edges.max_residual))
-        print(f"max residual {_fmt_res(worst)}   tolerance {tol:.1e}   "
+        print(f"max residual {worst:.3e}   tolerance {tol:.1e}   "
               f"{'PASS' if ok else 'FAIL'}")
     if ok:
         return 0
@@ -211,9 +201,7 @@ def _cmd_solve(args):
 
 _COMMANDS = {
     "example": _cmd_example,
-    "coords": _cmd_coords,
-    "dualize": _cmd_dualize,
-    "conjugate": _cmd_conjugate,
+    **dict.fromkeys(_REWRITES, _cmd_rewrite),
     "check": _cmd_check,
     "beta": _cmd_beta,
     "volume": _cmd_volume,
@@ -245,7 +233,7 @@ def build_parser():
                     "pre-Bloch volumes of decorated triangulations.")
     subs = ap.add_subparsers(dest="verb", required=True)
     ex = subs.add_parser("example", help="emit a bundled example complex")
-    ex.add_argument("name", choices=("figure8", "hyperbolic", "cr", "double"))
+    ex.add_argument("name", choices=tuple(_EXAMPLES))
     ex.add_argument("--param", help="shape parameter for 'hyperbolic' "
                                     "(exact 'a/b+c/d*i' or complex '1+2j')")
     _common(ex, "example")

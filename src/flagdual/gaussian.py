@@ -8,7 +8,10 @@ pi/2).  The unit shed by the normalization accumulates into a power of i.
 
 Rational primes split in Z[i] the usual way: 2 ramifies as -i (1+i)^2,
 p = 1 mod 4 splits into a conjugate pair, p = 3 mod 4 stays inert.  The
-integer factorizations of the norms are delegated to sympy.
+primes over p are divided out at most as often as p^e in the norm allows:
+e times 1+i, e/2 times an inert p, e times in all for a split pair, so the
+conjugate takes exactly what the first prime left.  The integer
+factorizations of the norms are delegated to sympy.
 """
 
 from __future__ import annotations
@@ -105,38 +108,26 @@ def factor_gauss_int(z) -> GaussianFactorization:
         raise ZeroDivisionError("cannot factor zero")
     unit = 0
     found = {}
-    n = _gi_norm(z)
-    for p, e in factorint(n).items():
+    for p, e in factorint(_gi_norm(z)).items():
         if p == 2:
-            pi = (1, 1)
-            k = e  # v_(1+i)(z) equals the exponent of 2 in the norm
-            for _ in range(k):
-                z = _gi_divexact(z, pi)
-            if k:
-                found[pi] = found.get(pi, 0) + k
+            over = ((1, 1),)
         elif p % 4 == 3:
-            k = e // 2  # inert: norm exponent is twice the Z[i] exponent
-            for _ in range(k):
-                z = _gi_divexact(z, (p, 0))
-            if k:
-                found[(p, 0)] = found.get((p, 0), 0) + k
+            over, e = ((p, 0),), e // 2
         else:
-            s = int(sqrt_mod(-1, p))
-            pi = _gi_gcd((p, 0), (s, 1))
-            for cand in (pi, (pi[0], -pi[1])):
-                k = 0
-                q = _gi_divexact(z, cand)
-                while q is not None:
-                    z, k = q, k + 1
-                    q = _gi_divexact(z, cand)
-                if k:
-                    norm_p, u = normalize_prime(cand)
-                    unit = (unit + u * k) % 4
-                    found[norm_p] = found.get(norm_p, 0) + k
+            pi = _gi_gcd((p, 0), (int(sqrt_mod(-1, p)), 1))
+            over = (pi, (pi[0], -pi[1]))
+        for cand in over:
+            k = 0
+            while k < e and (q := _gi_divexact(z, cand)) is not None:
+                z, k = q, k + 1
+            if k:
+                e -= k
+                prime, u = normalize_prime(cand)
+                unit += u * k
+                found[prime] = k
     if z not in _UNITS:
         raise ArithmeticError(f"factorization left non-unit remainder {z}")
     unit = (unit + _UNITS[z]) % 4
-    # shed units from normalizing 1+i and inert primes (already normalized)
     factors = tuple(sorted(found.items(), key=lambda kv: prime_key(kv[0])))
     return GaussianFactorization(unit, factors)
 

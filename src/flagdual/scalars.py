@@ -181,8 +181,7 @@ class GaussRational:
         return hash((self.re, self.im))
 
     def __complex__(self):
-        # int true division rounds correctly, as Fraction.__float__ does
-        return complex(self._a / self._d, self._b / self._d)
+        return complex(_ratio(self._a, self._d), _ratio(self._b, self._d))
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
@@ -194,6 +193,20 @@ class GaussRational:
 # a reflected operation runs the forward one as a plain function, with
 # no second operator dispatch
 _subtract, _divide = GaussRational.__sub__, GaussRational.__truediv__
+
+
+def _ratio(n, d=1):
+    """n / d for an int or float n and an int d > 0, correctly rounded, as
+    Fraction.__float__ is; beyond the float range it saturates to +-inf."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+def _complex(x):
+    """complex(x), with a plain int or Fraction saturated as _ratio does."""
+    return complex(exactify(x)) if isinstance(x, _EXACT_OK) else complex(x)
 
 
 def _coerce(x):
@@ -281,7 +294,10 @@ def normalize_values(values, what="scalars"):
     if has_float:
         if any(isinstance(v, GaussRational) for v in values):
             raise BackendMismatch(f"mixed exact/float {what}")
-        return tuple(complex(v) for v in values)
+        try:
+            return tuple(complex(v) for v in values)
+        except OverflowError:  # an int or Fraction beyond the float range
+            return tuple(_complex(v) for v in values)
     return tuple(exactify(v) for v in values)
 
 
@@ -359,7 +375,7 @@ def scalar_from_json(v, backend: str):
         if backend == "exact":
             raise ParseError(
                 f"float literal {v!r} rejected by the exact backend")
-        return complex(v[0], v[1])
+        return complex(_ratio(v[0]), _ratio(v[1]))
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         # bare reals: exact when integral and backend allows
         if backend != "float" and isinstance(v, int):
@@ -367,7 +383,7 @@ def scalar_from_json(v, backend: str):
         if backend == "exact":
             raise ParseError(
                 f"float literal {v!r} rejected by the exact backend")
-        return complex(v)
+        return complex(_ratio(v))
     raise ParseError(f"not a scalar encoding: {v!r}")
 
 
@@ -381,7 +397,7 @@ def nearly_equal(a, b, tol) -> bool:
         return a == b
     if isinstance(a, GaussRational) or isinstance(b, GaussRational):
         raise BackendMismatch("comparing exact with float scalar")
-    za, zb = complex(a), complex(b)
+    za, zb = _complex(a), _complex(b)
     if not (math.isfinite(za.real) and math.isfinite(za.imag)
             and math.isfinite(zb.real) and math.isfinite(zb.imag)):
         return False

@@ -14,7 +14,8 @@ from flagdual import (DecoratedComplex, Decoration, GaussRational,
                       read_complex, write_complex)
 from flagdual.bundled import (cr_complex, figure_eight_complex,
                               single_tetra_triangulation,
-                              twisted_double_complex)
+                              twisted_double_complex,
+                              twisted_double_triangulation)
 from flagdual.cli import main
 from flagdual import cli, errors
 from flagdual.errors import FlagdualError, ParseError
@@ -461,6 +462,51 @@ def test_mixed_backend_records_are_domain_errors(tmp_path, capsys):
     f.write_text(json.dumps(data))
     assert run_cli(capsys, "check", str(f)) == (
         2, "", "error: tetrahedron 0: mixed exact/float flag coordinates\n")
+
+
+def _beyond_float_docs():
+    """z12 = 10^400 on tetrahedron 0, as an exact literal and as a JSON
+    integer; the decoration is inconsistent, and real, so D is 0."""
+    big = 10 ** 400
+    literal = dump_complex(DecoratedComplex(
+        twisted_double_triangulation(),
+        Decoration([complete_from_minimal((big, 3, 5, 7)),
+                    complete_from_minimal((2, 3, 5, 7))])))
+    integer = json.loads(json.dumps(literal))
+    integer["decoration"]["data"][0]["edges"]["12"] = big
+    return {"literal": literal, "integer": integer}
+
+
+@pytest.mark.parametrize("backend", ("auto", "exact", "float"))
+@pytest.mark.parametrize("verb", ("check", "volume", "beta", "defect",
+                                  "coords", "dualize", "conjugate", "solve"))
+def test_values_beyond_the_float_range_exit_cleanly(verb, backend, tmp_path,
+                                                    capsys):
+    # an OverflowError would escape main() and fail the test itself; the
+    # float backend rejects the saturated value at load, by name
+    f = tmp_path / "big.json"
+    for name, data in _beyond_float_docs().items():
+        f.write_text(json.dumps(data))
+        for as_json in ((), ("--json",)):
+            code, out, err = run_cli(capsys, verb, str(f),
+                                     "--backend", backend, *as_json)
+            case = (name, as_json)
+            if backend == "float":
+                assert (code, out, err) == (
+                    2, "", "error: tetrahedron 0: edge coordinate "
+                           "z12 = (inf+0j) is not finite\n"), case
+                continue
+            assert "Traceback" not in err, case
+            assert code == (2 if verb in ("check", "solve") else 0), case
+            if verb == "check" and not as_json:
+                assert "max residual inf " in out, case
+            if verb == "check" and as_json:
+                report = json.loads(out)
+                assert not report["pass"], case
+                assert report["faces"]["max_residual"] == float("inf"), case
+            if verb in ("volume", "beta", "defect") and as_json:
+                assert json.loads(out)["volume" if verb == "volume"
+                                       else "D"] == 0.0, case
 
 
 UNREAD_OPTIONS = [

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagdual import GaussRational, factor_gauss_int, factor_gaussian
 from flagdual.errors import Unsupported
@@ -69,6 +71,29 @@ def test_multiply_back_oracle_random():
             for p in primes:
                 assert p[0] > 0 and p[1] >= 0
                 assert normalize_prime(p) == (p, 0)
+
+
+# normalized primes in prime_key order: 1+i (ramified), the split pairs
+# over 5 and 13 (1+2i = i(2-i), 2+3i = i(3-2i)), the inert 3 and 7
+_STRUCTURED_PRIMES = ((1, 1), (1, 2), (2, 1), (3, 0), (2, 3), (3, 2), (7, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3),
+       st.tuples(*[st.integers(0, 5)] * len(_STRUCTURED_PRIMES)))
+def test_structured_products_factor_into_their_primes(unit, exponents):
+    # repeated split pairs and high ramified powers, which random
+    # multiply-back draws almost never reach
+    z = (1, 0)
+    for _ in range(unit):
+        z = _gi_mul(z, (0, 1))
+    for p, e in zip(_STRUCTURED_PRIMES, exponents):
+        for _ in range(e):
+            z = _gi_mul(z, p)
+    f = factor_gauss_int(z)
+    assert f.unit_pow == unit
+    assert f.factors == tuple((p, e) for p, e in zip(_STRUCTURED_PRIMES,
+                                                      exponents) if e)
 
 
 def test_exponent_vector_is_multiplicative():

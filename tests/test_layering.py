@@ -1,6 +1,7 @@
 """Package layering: modules share only their public names."""
 
 import ast
+import sys
 from pathlib import Path
 
 import flagdual
@@ -64,17 +65,23 @@ def test_no_function_repeats_an_import_of_its_module():
     assert not found
 
 
-def test_only_the_solver_imports_numpy():
-    # the gluing equations and check_* stay pure Python
+# each third-party runtime dependency and the one module that imports it:
+# the gluing equations and check_* stay pure Python, and replacing sympy
+# touches one known site
+RUNTIME_IMPORTS = {"numpy": "solver.py", "sympy": "gaussian.py"}
+
+
+def test_third_party_imports_stay_at_their_one_site():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "solver.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = [a.name for a in node.names] \
                 if isinstance(node, ast.Import) else \
                 [node.module or ""] \
                 if isinstance(node, ast.ImportFrom) and not node.level else []
-            found += [f"{path.name}:{node.lineno}: {name}" for name in names
-                      if name.split(".")[0] == "numpy"]
+            tops = {name.split(".")[0] for name in names}
+            found += [f"{path.name}:{node.lineno}: {top}" for top in tops
+                      if top not in sys.stdlib_module_names
+                      and top != "flagdual"
+                      and RUNTIME_IMPORTS.get(top) != path.name]
     assert not found

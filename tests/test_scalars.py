@@ -91,6 +91,23 @@ def test_json_encoding_per_backend():
         scalar_from_json([0.5, -2.0], "exact")
 
 
+def test_values_beyond_the_float_range_saturate_to_inf():
+    big = 10 ** 400
+    assert complex(GaussRational(big, -big)) == complex(math.inf, -math.inf)
+    assert complex(GaussRational(Fraction(-big, 3), 1)) == \
+        complex(-math.inf, 1)
+    # a huge numerator over a huge denominator is an ordinary float
+    assert complex(GaussRational(Fraction(big, 10 ** 399), 0)) == 10
+    assert complex(GaussRational(Fraction(1, big))) == 0
+    assert normalize_values([big, Fraction(-big, 7), 1.5]) == (
+        complex(math.inf), complex(-math.inf), 1.5)
+    assert scalar_from_json(big, "float") == complex(math.inf)
+    assert scalar_from_json([-big, big], "auto") == complex(-math.inf,
+                                                            math.inf)
+    assert scalar_from_json(str(big), "float") == complex(math.inf)
+    assert not nearly_equal(big, 1.0, 1e-9)
+
+
 def test_nearly_equal_semantics():
     assert nearly_equal(GaussRational(1, 2), GaussRational(1, 2), 1e-12)
     assert not nearly_equal(GaussRational(1, 2), GaussRational(1, 3), 1e-12)
