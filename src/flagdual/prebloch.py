@@ -253,7 +253,10 @@ def dilog_D(z) -> float:
 
     D(z) = Im(Li_2(z)) + arg(1-z) log|z|.
     """
-    z = complex(z)
+    try:
+        z = complex(z)
+    except OverflowError:  # a plain int or Fraction beyond the float range
+        return 0.0
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         return 0.0
     if z.imag == 0.0 or z == 0 or z == 1:

@@ -205,8 +205,11 @@ def _ratio(n, d=1):
 
 
 def _complex(x):
-    """complex(x), with a plain int or Fraction saturated as _ratio does."""
-    return complex(exactify(x)) if isinstance(x, _EXACT_OK) else complex(x)
+    """complex(x), saturated as _ratio is beyond the float range."""
+    try:
+        return complex(x)
+    except OverflowError:
+        return complex(exactify(x))
 
 
 def _coerce(x):
@@ -294,10 +297,7 @@ def normalize_values(values, what="scalars"):
     if has_float:
         if any(isinstance(v, GaussRational) for v in values):
             raise BackendMismatch(f"mixed exact/float {what}")
-        try:
-            return tuple(complex(v) for v in values)
-        except OverflowError:  # an int or Fraction beyond the float range
-            return tuple(_complex(v) for v in values)
+        return tuple(_complex(v) for v in values)
     return tuple(exactify(v) for v in values)
 
 

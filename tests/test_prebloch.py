@@ -101,6 +101,8 @@ def test_dilog_extends_by_zero():
     assert dilog_D(complex("inf")) == 0.0
     # an exact value beyond the float range is read as infinity
     assert dilog_D(GaussRational(10 ** 400, 3 * 10 ** 400)) == 0.0
+    assert dilog_D(10 ** 400) == 0.0
+    assert dilog_D(Fraction(-10 ** 400, 7)) == 0.0
 
 
 def test_dilog_continuous_at_exceptional_points():
