@@ -38,15 +38,14 @@ from .tolerances import CHECK_TOL
 
 
 def _parse_param(text):
-    """Shape parameter: exact 'a/b+c/d*i' first, then a complex literal."""
+    """Shape parameter: exact 'a/b+c/d*i' first, then Python's complex()."""
     try:
         return parse_exact(text)
     except ParseError:
-        pass
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        raise ParseError(f"cannot parse shape parameter {text!r}") from None
+        try:
+            return complex(text)
+        except ValueError:
+            raise ParseError(f"cannot parse shape parameter {text!r}") from None
 
 
 def _tolerance(text):
@@ -120,13 +119,13 @@ def _cmd_check(args):
     faces = check_faces(dc)
     edges = check_edges(dc)
     tol = args.tolerance
-    ok = faces.passed(tol) and edges.passed(tol)
+    bad = faces.failures(tol) + edges.failures(tol)
     if args.json:
         print(json.dumps({
             "faces": fileio.report_to_json(faces),
             "edges": fileio.report_to_json(edges),
             "tolerance": tol,
-            "pass": ok,
+            "pass": not bad,
         }))
     else:
         print(f"face equations ({len(faces.items)} pairings):")
@@ -137,10 +136,9 @@ def _cmd_check(args):
             print(f"  {it.label}   max|prod-1| = {it.residual:.3e}")
         worst = worst_residual((faces.max_residual, edges.max_residual))
         print(f"max residual {worst:.3e}   tolerance {tol:.1e}   "
-              f"{'PASS' if ok else 'FAIL'}")
-    if ok:
+              f"{'FAIL' if bad else 'PASS'}")
+    if not bad:
         return 0
-    bad = faces.failures(tol) + edges.failures(tol)
     print(f"error: consistency violated at {bad[0].label}", file=sys.stderr)
     return 2
 

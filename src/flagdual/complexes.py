@@ -235,7 +235,7 @@ class DecoratedComplex:
 @dataclass(frozen=True)
 class CheckItem:
     label: str
-    value: object  # the product that should equal 1
+    value: object  # the product that should equal 1 (edges: the pair)
     residual: float
     exact_ok: bool | None  # None in the float backend
 
@@ -264,50 +264,42 @@ class CheckReport:
         return [it for it in self.items if not it.residual <= tol]
 
 
-def _item(label, product, exact) -> CheckItem:
-    residual = abs(complex(product) - 1.0)
-    return CheckItem(label, product,
-                     residual, (product == 1) if exact else None)
-
-
 def _row_values(coords, row) -> list:
     """The coordinate values whose product an equation row sets to 1."""
     return [coords[tet].edge_value(*v) if len(v) == 2
             else coords[tet].face_value(*v) for tet, v in row]
 
 
+def _check(kind, dc, groups) -> CheckReport:
+    """One item per (label, rows) group: its row products (a tuple of
+    several), the worst |product - 1| and the exact verdict."""
+    exact = dc.decoration.exact
+    report = CheckReport(kind)
+    for label, rows in groups:
+        products = [math.prod(_row_values(dc.coords, row)) for row in rows]
+        report.items.append(CheckItem(
+            label, tuple(products) if len(products) > 1 else products[0],
+            worst_residual(abs(complex(p) - 1.0) for p in products),
+            all(p == 1 for p in products) if exact else None))
+    return report
+
+
 def check_faces(dc: DecoratedComplex) -> CheckReport:
     """Per pairing: matched face coordinates must multiply to 1 (the far
     side in reversed orientation, see IdealTriangulation.equations)."""
     tri = dc.triangulation
-    exact = dc.decoration.exact
-    report = CheckReport("faces")
-    for n, (p, row) in enumerate(zip(tri.pairings, tri._face_rows)):
-        va, vb = _row_values(dc.coords, row)
-        fa = "".join(map(str, p.face_a))
-        fb = "".join(map(str, p.face_b))
-        report.items.append(_item(
-            f"pairing {n}: T{p.tet_a}({fa}) ~ T{p.tet_b}({fb})",
-            va * vb, exact))
-    return report
+    return _check("faces", dc, (
+        (f"pairing {n}: T{p.tet_a}({''.join(map(str, p.face_a))}) ~ "
+         f"T{p.tet_b}({''.join(map(str, p.face_b))})", (row,))
+        for n, (p, row) in enumerate(zip(tri.pairings, tri._face_rows))))
 
 
 def check_edges(dc: DecoratedComplex) -> CheckReport:
     """Both directed products around every edge class must equal 1."""
-    tri = dc.triangulation
-    exact = dc.decoration.exact
-    report = CheckReport("edges")
-    rows = tri.equations[len(tri.pairings):]
-    for n, (fwd, rev) in enumerate(zip(rows[::2], rows[1::2])):
-        pf = math.prod(_row_values(dc.coords, fwd))
-        pr = math.prod(_row_values(dc.coords, rev))
-        rf = abs(complex(pf) - 1.0)
-        rr = abs(complex(pr) - 1.0)
-        ok = (pf == 1 and pr == 1) if exact else None
-        report.items.append(CheckItem(
-            f"edge class {n} (size {len(fwd)})",
-            (pf, pr), worst_residual((rf, rr)), ok))
-    return report
+    rows = dc.triangulation.equations[len(dc.triangulation.pairings):]
+    return _check("edges", dc, (
+        (f"edge class {n} (size {len(fwd)})", (fwd, rev))
+        for n, (fwd, rev) in enumerate(zip(rows[::2], rows[1::2]))))
 
 
 def is_consistent(dc: DecoratedComplex, tol=CHECK_TOL) -> bool:

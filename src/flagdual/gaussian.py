@@ -17,9 +17,9 @@ factorizations of the norms are delegated to sympy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from sympy import factorint
-from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from .errors import Unsupported
 from .scalars import exactify, is_exact
@@ -102,6 +102,15 @@ def prime_key(p):
     return (_gi_norm(p), p[0], p[1])
 
 
+def _sqrt_minus_one(p):
+    """A square root of -1 mod a prime p = 1 mod 4: c^((p-1)/4) for the
+    least c that is not a square mod p (Euler's criterion)."""
+    for c in count(2):
+        s = pow(c, (p - 1) // 4, p)
+        if s * s % p == p - 1:
+            return s
+
+
 def factor_gauss_int(z) -> GaussianFactorization:
     """Factor a nonzero Gaussian integer (a, b) over Z[i]."""
     if z == (0, 0):
@@ -114,7 +123,7 @@ def factor_gauss_int(z) -> GaussianFactorization:
         elif p % 4 == 3:
             over, e = ((p, 0),), e // 2
         else:
-            pi = _gi_gcd((p, 0), (int(sqrt_mod(-1, p)), 1))
+            pi = _gi_gcd((p, 0), (_sqrt_minus_one(p), 1))
             over = (pi, (pi[0], -pi[1]))
         for cand in over:
             k = 0

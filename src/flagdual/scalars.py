@@ -248,12 +248,12 @@ def _reduced(a, b, d):
 
 # -- backend dispatch --------------------------------------------------------
 
-_EXACT_TYPES = (GaussRational,) + _EXACT_OK
-
-
 def is_exact(x) -> bool:
     """True for exact scalars (GaussRational, int, Fraction)."""
-    return isinstance(x, _EXACT_TYPES)
+    # a float or complex is refused before the isinstance check of
+    # Fraction's metaclass, ABCMeta, which is several times slower
+    return isinstance(x, GaussRational) or (
+        not isinstance(x, (complex, float)) and isinstance(x, _EXACT_OK))
 
 
 def exactify(x) -> GaussRational:
@@ -291,10 +291,7 @@ def normalize_values(values, what="scalars"):
     values = tuple(values)
     if all(isinstance(v, GaussRational) for v in values):
         return values  # already settled: nothing to convert
-    has_float = any(
-        isinstance(v, (complex, float)) and not isinstance(v, bool)
-        for v in values)
-    if has_float:
+    if any(isinstance(v, (complex, float)) for v in values):
         if any(isinstance(v, GaussRational) for v in values):
             raise BackendMismatch(f"mixed exact/float {what}")
         return tuple(_complex(v) for v in values)
@@ -315,44 +312,27 @@ def format_exact(x: GaussRational) -> str:
     return f"{re_s}{sign}{abs(x.im)}*i"
 
 
-def _parse_rational(txt: str) -> Fraction:
-    if not _re.fullmatch(r"[+-]?\d+(/\d+)?", txt):
-        raise ParseError(f"not a rational literal: {txt!r}")
-    try:
-        return Fraction(txt)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator: {txt!r}") from None
+# [±]a[/b], [±]a[/b]±[c[/d][*]]i or [±][c[/d][*]]i: a space may stand
+# between two tokens but splits none, so two digit runs never meet and
+# "1 2" fails; (?=.) refuses the empty literal
+_RATIONAL = r"(\d+)(?: */ *(\d+))?"
+_LITERAL = _re.compile(
+    rf"(?=.)(?:([+-]?) *{_RATIONAL})?"  # real part
+    # imaginary part: its sign is required after a real part
+    rf"(?: *((?(2)[+-]|[+-]?)) *(?:{_RATIONAL} *\*? *)?(i))?")
 
 
 def parse_exact(s: str) -> GaussRational:
-    t = s.strip().replace(" ", "")
-    if not t:
-        raise ParseError("empty scalar string")
-    if "i" not in t:
-        return GaussRational(_parse_rational(t))
-    # locate the sign separating real and imaginary parts (never at index 0)
-    split = -1
-    for k in range(1, len(t)):
-        if t[k] in "+-" and t[k - 1] not in "+-*/":
-            split = k
-    if split == -1:
-        re_txt, im_txt = "", t
-    else:
-        re_txt, im_txt = t[:split], t[split:]
-    if not im_txt.endswith("i") or "i" in re_txt:
+    m = _LITERAL.fullmatch(s.strip())
+    if m is None:
         raise ParseError(f"not an exact scalar: {s!r}")
-    im_txt = im_txt[:-1]
-    sign = 1
-    if im_txt[:1] in ("+", "-"):
-        sign = -1 if im_txt[0] == "-" else 1
-        im_txt = im_txt[1:]
-    if im_txt.endswith("*"):
-        im_txt = im_txt[:-1]
-        if not im_txt:
-            raise ParseError(f"dangling '*' in scalar: {s!r}")
-    im_part = _parse_rational(im_txt) if im_txt else Fraction(1)
-    re_part = _parse_rational(re_txt) if re_txt else Fraction(0)
-    return GaussRational(re_part, sign * im_part)
+    re_sign, a, b, im_sign, c, d, i = m.groups("")
+    try:
+        return GaussRational(
+            Fraction(int(re_sign + (a or "0")), int(b or 1)),
+            Fraction(int(im_sign + (c or "1")), int(d or 1)) if i else 0)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator: {s!r}") from None
 
 
 def scalar_to_json(x):
@@ -362,29 +342,27 @@ def scalar_to_json(x):
     return [z.real, z.imag]
 
 
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def scalar_from_json(v, backend: str):
-    """Decode one scalar; ``backend`` is 'exact', 'float' or 'auto'."""
+    """Decode one scalar; ``backend`` is 'exact', 'float' or 'auto'.
+
+    A bare real reads as the pair [v, 0]; a bare int stays exact unless
+    the backend is 'float'."""
     if isinstance(v, str):
         q = parse_exact(v)
-        if backend == "float":
-            return complex(q)
-        return q
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(
-            isinstance(c, (int, float)) and not isinstance(c, bool)
-            for c in v):
-        if backend == "exact":
-            raise ParseError(
-                f"float literal {v!r} rejected by the exact backend")
-        return complex(_ratio(v[0]), _ratio(v[1]))
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        # bare reals: exact when integral and backend allows
-        if backend != "float" and isinstance(v, int):
-            return GaussRational(v)
-        if backend == "exact":
-            raise ParseError(
-                f"float literal {v!r} rejected by the exact backend")
-        return complex(_ratio(v))
-    raise ParseError(f"not a scalar encoding: {v!r}")
+        return complex(q) if backend == "float" else q
+    pair = [v, 0] if _is_real(v) else v
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(map(_is_real, pair))):
+        raise ParseError(f"not a scalar encoding: {v!r}")
+    if isinstance(v, int) and backend != "float":
+        return GaussRational(v)
+    if backend == "exact":
+        raise ParseError(f"float literal {v!r} rejected by the exact backend")
+    return complex(_ratio(pair[0]), _ratio(pair[1]))
 
 
 def nearly_equal(a, b, tol) -> bool:

@@ -559,3 +559,45 @@ def test_malformed_pairings_are_parse_errors_naming_the_pairing(
         assert code == 1
         assert err.startswith(f"error: pairings[3].{key}")
 
+
+
+# name -> (argv, exit code, stdout and stderr patterns); {fig8} is a
+# figure-eight file and {tmp} the test's directory
+CLI_PATHS = {
+    "complex-param": (["example", "hyperbolic", "--param", "1+2j", "--json"],
+                      0, r'^\{"complex": .*"12": \[1\.0, 2\.0\]', r"^$"),
+    "unparseable-param": (["example", "hyperbolic", "--param", "zz"], 1,
+                          r"^$", r"^error: cannot parse shape parameter "
+                                 r"'zz'\n$"),
+    "param-split-by-a-space": (
+        ["example", "hyperbolic", "--param", "1 2j"], 1, r"^$",
+        r"^error: cannot parse shape parameter '1 2j'\n$"),
+    "tolerance-not-a-number": (
+        ["check", "{fig8}", "--tolerance", "abc"], 2, r"^$",
+        r"argument --tolerance: must be a finite positive number: 'abc'\n$"),
+    "solve-notes-beside-wrote": (
+        ["solve", "{fig8}", "-o", "{tmp}/solved.json"], 0,
+        r"^iterations: 0\nresidual: \S+\nwrote \S+solved\.json\n$", r"^$"),
+    "solve-notes-on-stderr": (
+        ["solve", "{fig8}"], 0, r'^\{\n "tetrahedra": 2',
+        r"^iterations: 0\nresidual: \S+\n$"),
+    "output-into-missing-directory": (
+        ["example", "figure8", "-o", "{tmp}/missing/out.json"], 1, r"^$",
+        r"^error: \[Errno 2\] No such file or directory: \S+\n$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_PATHS))
+def test_cli_paths_exit_and_report(case, tmp_path, capsys):
+    argv, code, out_pattern, err_pattern = CLI_PATHS[case]
+    f = tmp_path / "fig8.json"
+    write_complex(f, figure_eight_complex())
+    argv = [a.format(fig8=f, tmp=tmp_path) for a in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    assert re.search(out_pattern, out, re.S), out
+    assert re.search(err_pattern, err, re.S), err

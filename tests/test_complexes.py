@@ -134,6 +134,18 @@ def test_single_unglued_tetra_inconsistent():
     assert len(report.failures()) == 6
 
 
+def test_edge_class_fails_when_one_directed_product_is_not_one():
+    # glued along one face, the edge 12 has forward product 2 * 1/2,
+    # exactly 1, and reverse product 3 * 5
+    c0 = complete_from_minimal((2, 3, 5, 7))
+    c1 = complete_from_minimal((Fraction(1, 2), 5, 5, 7))
+    tri = IdealTriangulation(2, [FacePairing(0, (1, 2, 3), 1, (1, 2, 3))])
+    item = check_edges(DecoratedComplex(tri, Decoration([c0, c1]))).items[0]
+    assert item.value == (1, 15)
+    assert item.residual == 14.0
+    assert item.exact_ok is False
+
+
 def test_edge_equations_match_classical_gluing_oracle():
     dc = figure_eight_complex()
     report = check_edges(dc)

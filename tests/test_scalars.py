@@ -3,15 +3,17 @@
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagdual import GaussRational, format_exact, parse_exact
 from flagdual.errors import BackendMismatch, ParseError
-from flagdual.scalars import (nearly_equal, normalize_values,
+from flagdual.scalars import (is_exact, nearly_equal, normalize_values,
                               scalar_from_json, scalar_to_json)
 
 from helpers import FractionPairGauss, rand_gauss_rational
@@ -65,19 +67,32 @@ def test_format_parse_round_trip():
         == "1/2-3/4*i"
 
 
+# literal -> (re, im); a space between two tokens is insignificant
+ACCEPTED = {
+    "i": (0, 1), "-i": (0, -1), "+i": (0, 1), "2i": (0, 2), "2*i": (0, 2),
+    "3/4*i": (0, Fraction(3, 4)), "-3/4i": (0, Fraction(-3, 4)),
+    "5": (5, 0), "+5": (5, 0), "-3/2": (Fraction(-3, 2), 0), "-0": (0, 0),
+    "007/010*i": (0, Fraction(7, 10)),
+    "1/2-3/4*i": (Fraction(1, 2), Fraction(-3, 4)),
+    " 1/2 + 3/4*i ": (Fraction(1, 2), Fraction(3, 4)),
+    "- 12 / 34 - i": (Fraction(-6, 17), -1), "1+2 * i": (1, 2),
+    "1 -2 i": (1, -2), "\t1/2+i\n": (Fraction(1, 2), 1),
+}
+
+
 def test_parse_accepts_common_forms():
-    assert parse_exact("i") == GaussRational(0, 1)
-    assert parse_exact("-i") == GaussRational(0, -1)
-    assert parse_exact("2*i") == GaussRational(0, 2)
-    assert parse_exact("3/4*i") == GaussRational(0, Fraction(3, 4))
-    assert parse_exact(" 1/2 + 3/4*i ") == GaussRational(
-        Fraction(1, 2), Fraction(3, 4))
+    for text, (re_part, im_part) in ACCEPTED.items():
+        assert parse_exact(text) == GaussRational(re_part, im_part), text
 
 
+# besides malformed tokens: a space between two digits, a doubled sign
+# and a zero denominator
 @pytest.mark.parametrize("bad", ["", "x", "1//2", "1+2", "2i+1", "1.5",
-                                 "1/2+*i", "i*i"])
+                                 "1/2+*i", "i*i", "1 2", "1 2i", "12 3/4",
+                                 "1+-2i", "1-+2i", "--2i", "+-i", "1+2 3*i",
+                                 "*i", "1/0", "1+2/0*i", "1/2/3", "1+2j"])
 def test_parse_rejects_garbage(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=f"^[a-z ]+: {re.escape(repr(bad))}$"):
         parse_exact(bad)
 
 
@@ -89,6 +104,31 @@ def test_json_encoding_per_backend():
     assert scalar_from_json("1/3", "float") == complex(1 / 3)
     with pytest.raises(ParseError):
         scalar_from_json([0.5, -2.0], "exact")
+
+
+@pytest.mark.parametrize("backend", ("auto", "exact", "float"))
+@pytest.mark.parametrize("x,as_complex", [
+    (0, 0j), (3, 3 + 0j), (-10 ** 400, complex(-math.inf, 0)), (0.0, 0j),
+    (-0.0, complex(-0.0, 0)), (2.5, 2.5 + 0j), (1e308, 1e308 + 0j),
+    (math.inf, complex(math.inf, 0))])
+def test_bare_reals_read_as_real_pairs(x, as_complex, backend):
+    # exact only for a bare int outside the float backend
+    if isinstance(x, int) and backend != "float":
+        assert scalar_from_json(x, backend) == GaussRational(x)
+    elif backend == "exact":
+        with pytest.raises(ParseError, match="rejected by the exact"):
+            scalar_from_json(x, backend)
+    else:
+        assert repr(scalar_from_json(x, backend)) == repr(as_complex) \
+            == repr(scalar_from_json([x, 0], backend))
+
+
+@pytest.mark.parametrize("backend", ("auto", "exact", "float"))
+@pytest.mark.parametrize("v", (True, None, [], [1], [1, 2, 3], [[1], 2],
+                               [True, 0], [1, "2"], {"re": 1}))
+def test_non_scalar_encodings_are_parse_errors(v, backend):
+    with pytest.raises(ParseError, match="not a scalar encoding"):
+        scalar_from_json(v, backend)
 
 
 def test_values_beyond_the_float_range_saturate_to_inf():
@@ -106,6 +146,15 @@ def test_values_beyond_the_float_range_saturate_to_inf():
                                                             math.inf)
     assert scalar_from_json(str(big), "float") == complex(math.inf)
     assert not nearly_equal(big, 1.0, 1e-9)
+
+
+@pytest.mark.parametrize("x,exact", [
+    (3, True), (True, True), (Fraction(1, 3), True),
+    (GaussRational(1, 2), True), (0.5, False), (1j, False),
+    (np.float64(1), False), (np.complex128(1), False), (np.int64(1), False),
+    (None, False), ("1", False)], ids=repr)
+def test_is_exact_truth_table(x, exact):
+    assert is_exact(x) is exact
 
 
 def test_nearly_equal_semantics():
@@ -186,3 +235,24 @@ def test_real_values_hash_and_compare_as_their_rational(q):
 def test_format_parse_round_trip_property(x):
     x = GaussRational(*x)
     assert parse_exact(format_exact(x)) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PARTS, st.data())
+def test_spaces_matter_only_between_digits(x, data):
+    q = GaussRational(*x)
+    text = format_exact(q)
+
+    def pad():
+        return " " * data.draw(st.integers(0, 2))
+
+    # spaces around every sign, slash, star and i, and at both ends
+    spaced = pad() + "".join(c if c.isdigit() else pad() + c + pad()
+                             for c in text) + pad()
+    assert parse_exact(spaced) == q
+    splits = [k for k in range(1, len(text))
+              if text[k - 1].isdigit() and text[k].isdigit()]
+    if splits:
+        k = data.draw(st.sampled_from(splits))
+        with pytest.raises(ParseError):
+            parse_exact(text[:k] + " " + text[k:])
