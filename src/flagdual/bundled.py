@@ -10,7 +10,8 @@
 * an exactly consistent closed complex: a tetrahedron glued to its own
   relabeling under an odd transposition along all four faces (the double
   of the simplex), which satisfies every face and edge equation for any
-  generic exact decoration and keeps all coordinates Gaussian-rational.
+  generic exact decoration and keeps all coordinates Gaussian-rational;
+* n-fold cyclic covers of any of these, with their decorations lifted.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from fractions import Fraction
 
 from .complexes import (DecoratedComplex, Decoration, FacePairing,
                         IdealTriangulation)
+from .errors import MalformedPairing
 from .flags import FlagTuple, cr_tetrahedron, heisenberg_null_point
 from .scalars import GaussRational
 from .tetra import CANONICAL_FACES, complete_from_minimal, reconstruct
@@ -113,3 +115,33 @@ def twisted_double_complex(minimal=None) -> DecoratedComplex:
     t1 = FlagTuple([t0[1], t0[0], t0[2], t0[3]])
     return DecoratedComplex(twisted_double_triangulation(),
                             Decoration.from_flags([t0, t1]))
+
+
+# -- scalable complexes -------------------------------------------------------
+
+def cyclic_cover(n, voltages, base=None) -> IdealTriangulation:
+    """The n-fold cyclic voltage cover of base (default: figure-eight).
+
+    Copy s of base tetrahedron t is tetrahedron k*s + t, for k base
+    tetrahedra.  Copy s of pairing p glues its first side in copy s to
+    its second in copy s + voltages[p] (mod n).  n must be a positive
+    int and voltages one int per base pairing, or MalformedPairing.
+    """
+    base = base or figure_eight_triangulation()
+    if type(n) is not int or n < 1 or len(voltages) != len(base.pairings) \
+            or any(type(v) is not int for v in voltages):
+        raise MalformedPairing(
+            f"a cover needs a positive int n and one int voltage per base "
+            f"pairing ({len(base.pairings)}), got n = {n!r}, {voltages}")
+    k = base.n
+    return IdealTriangulation(k * n, [
+        FacePairing(k * s + p.tet_a, p.face_a,
+                    k * ((s + v) % n) + p.tet_b, p.face_b)
+        for p, v in zip(base.pairings, voltages) for s in range(n)])
+
+
+def lifted_cover(base: DecoratedComplex, n, voltages) -> DecoratedComplex:
+    """base lifted to cyclic_cover(n, voltages), each copy carrying its
+    coordinates: a consistent base lifts with n times its volume."""
+    tri = cyclic_cover(n, voltages, base.triangulation)
+    return DecoratedComplex(tri, Decoration(list(base.coords) * n))

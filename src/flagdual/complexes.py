@@ -37,12 +37,11 @@ from itertools import permutations
 from .duality import defect_pairs, dual_coords_closed
 from .errors import BackendMismatch, FlagdualError, MalformedPairing
 from .prebloch import FormalSum, eval_D
-from .tetra import CANONICAL_FACES, edge_coords
+from .tetra import CANONICAL_FACES, EVEN_COMPLETION, VERTICES, edge_coords
 from .tolerances import CHECK_TOL
 
-_VERTICES = (1, 2, 3, 4)
 # the 12 oriented edges in lexicographic order, and their indices
-_DIRECTED = tuple(permutations(_VERTICES, 2))
+_DIRECTED = tuple(EVEN_COMPLETION)
 _EDGE_ID = {e: k for k, e in enumerate(_DIRECTED)}
 
 
@@ -59,7 +58,7 @@ class FacePairing:
     def __post_init__(self):
         for face in (self.face_a, self.face_b):
             if len(face) != 3 or len(set(face)) != 3 \
-                    or not set(face) <= set(_VERTICES):
+                    or not set(face) <= set(VERTICES):
                 raise MalformedPairing(f"face triple {face} is not simplicial")
 
     @property
@@ -78,6 +77,9 @@ class IdealTriangulation:
         self.pairings = tuple(pairings)
         self._paired = set()
         for p in self.pairings:
+            if (p.tet_a, frozenset(p.face_a)) == (p.tet_b, frozenset(p.face_b)):
+                raise MalformedPairing(
+                    "a face cannot be paired with itself")
             for tet, face in ((p.tet_a, p.face_a), (p.tet_b, p.face_b)):
                 if not 0 <= tet < self.n:
                     raise MalformedPairing(
@@ -88,9 +90,6 @@ class IdealTriangulation:
                         f"face {sorted(face)} of tetrahedron {tet} "
                         "appears in two pairings")
                 self._paired.add(key)
-            if (p.tet_a, frozenset(p.face_a)) == (p.tet_b, frozenset(p.face_b)):
-                raise MalformedPairing(
-                    "a face cannot be paired with itself")
 
     def boundary_faces(self):
         """(tet, canonical face triple) for every unpaired face."""

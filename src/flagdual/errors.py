@@ -30,7 +30,7 @@ class SingularMatrix(FlagdualError, ZeroDivisionError):
 
 
 class Unsupported(FlagdualError, TypeError):
-    """Operation requires the exact backend (or vice versa)."""
+    """The operation does not support these values (backend or size)."""
 
 
 class NotOnSphere(FlagdualError, ValueError):

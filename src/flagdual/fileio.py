@@ -32,7 +32,7 @@ from .complexes import (CheckReport, DecoratedComplex, Decoration,
 from .errors import MalformedPairing, ParseError
 from .flags import Flag, FlagTuple
 from .prebloch import FormalSum
-from .scalars import scalar_from_json, scalar_to_json
+from .scalars import clip, scalar_from_json, scalar_to_json
 from .tetra import CANONICAL_FACES, EVEN_COMPLETION, TetraCoords
 
 EDGE_KEYS = {f"{i}{j}": (i, j) for i, j in EVEN_COMPLETION}
@@ -42,9 +42,8 @@ FACE_KEYS = {"".join(map(str, f)): f for f in CANONICAL_FACES}
 # -- phase one: the shape of the document -------------------------------------
 
 def _expected(path, what, value) -> ParseError:
-    got = json.dumps(value, default=repr)
     return ParseError(f"{path}: expected {what}, got "
-                      + (got if len(got) <= 60 else got[:57] + "..."))
+                      + clip(json.dumps(value, default=repr)))
 
 
 def _record(value, path, keys) -> dict:
@@ -208,12 +207,14 @@ def read_complex(path, backend: str = "auto") -> DecoratedComplex:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: not JSON, not UTF-8, or an int beyond the digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return load_complex(data, backend)
 
 
 def write_complex(path, dc: DecoratedComplex, keep_flags=False):
+    """Write dc to path; a value that cannot be encoded leaves no file."""
+    text = json.dumps(dump_complex(dc, keep_flags), indent=1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dump_complex(dc, keep_flags), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")

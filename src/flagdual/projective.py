@@ -105,11 +105,7 @@ def cross_ratio(x1: ProjPoint1, x2: ProjPoint1, x3: ProjPoint1,
             if negligible(m[i, j], pts[i], pts[j]):
                 raise DegenerateInput(
                     f"cross_ratio of coincident points (args {i + 1} and {j + 1})")
-    num = m[0, 2] * m[1, 3]
-    den = m[0, 3] * m[1, 2]
-    if den == 0:
-        raise DegenerateInput("cross_ratio denominator vanished")
-    return num / den
+    return m[0, 2] * m[1, 3] / (m[0, 3] * m[1, 2])
 
 
 # -- 3-vectors (points and covectors of CP^2) --------------------------------

@@ -23,9 +23,10 @@ from __future__ import annotations
 import cmath
 import math
 import re as _re
+import sys
 from fractions import Fraction
 
-from .errors import BackendMismatch, OutOfDomain, ParseError
+from .errors import BackendMismatch, OutOfDomain, ParseError, Unsupported
 
 _EXACT_OK = (int, Fraction)
 
@@ -305,11 +306,15 @@ def normalize_values(values, what="scalars"):
 # [re, im].  Every file format in the package shares this encoding.
 
 def format_exact(x: GaussRational) -> str:
-    re_s = str(x.re)
-    if x.im == 0:
-        return re_s
-    sign = "+" if x.im > 0 else "-"
-    return f"{re_s}{sign}{abs(x.im)}*i"
+    try:
+        re_s = str(x.re)
+        if x.im == 0:
+            return re_s
+        sign = "+" if x.im > 0 else "-"
+        return f"{re_s}{sign}{abs(x.im)}*i"
+    except ValueError:  # the digit limit, which parse_exact would hit too
+        raise Unsupported("cannot write an exact part of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
 
 
 # [±]a[/b], [±]a[/b]±[c[/d][*]]i or [±][c[/d][*]]i: a space may stand
@@ -322,17 +327,25 @@ _LITERAL = _re.compile(
     rf"(?: *((?(2)[+-]|[+-]?)) *(?:{_RATIONAL} *\*? *)?(i))?")
 
 
+def clip(text: str, width=60) -> str:
+    """text, cut to width characters ending in "..." when longer."""
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
 def parse_exact(s: str) -> GaussRational:
     m = _LITERAL.fullmatch(s.strip())
     if m is None:
-        raise ParseError(f"not an exact scalar: {s!r}")
+        raise ParseError(f"not an exact scalar: {clip(repr(s))}")
     re_sign, a, b, im_sign, c, d, i = m.groups("")
     try:
         return GaussRational(
             Fraction(int(re_sign + (a or "0")), int(b or 1)),
             Fraction(int(im_sign + (c or "1")), int(d or 1)) if i else 0)
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator: {s!r}") from None
+        raise ParseError(f"zero denominator: {clip(repr(s))}") from None
+    except ValueError:  # the pattern matched: int()'s digit limit
+        raise ParseError(f"{clip(repr(s))} has a part of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def scalar_to_json(x):

@@ -61,6 +61,11 @@ def _build_even_completion():
 # its sorted key order is that of TetraCoords.edge and of the file format
 EVEN_COMPLETION = _build_even_completion()
 
+# (i, j) -> (k, l, then (key in point_minors, sign) of minors ijl, ijk)
+_EDGE_MINORS = {(i, j): (k, l, *((tuple(sorted(v)), perm_parity(v))
+                                 for v in ((i, j, l), (i, j, k))))
+                for (i, j), (k, l) in EVEN_COMPLETION.items()}
+
 # boundary-oriented faces: (i, j, k) with (i, j, k, missing) even,
 # keyed by the lexicographically smallest even rotation
 CANONICAL_FACES = ((1, 2, 3), (2, 4, 3), (1, 3, 4), (1, 4, 2))
@@ -242,13 +247,12 @@ def edge_coords(t: FlagTuple) -> TetraCoords:
     pairings = cross_pairings(t)
     minors = point_minors(t)
 
-    def det(i, j, k):
-        d = minors[tuple(sorted((i, j, k)))]
-        return d if perm_parity((i, j, k)) == 1 else -d
+    def det(key, sign):
+        return minors[key] if sign == 1 else -minors[key]
 
-    edges = {(i, j): (pairings[(i, k)] * det(i, j, l))
-             / (pairings[(i, l)] * det(i, j, k))
-             for (i, j), (k, l) in EVEN_COMPLETION.items()}
+    edges = {(i, j): (pairings[(i, k)] * det(*num))
+             / (pairings[(i, l)] * det(*den))
+             for (i, j), (k, l, num, den) in _EDGE_MINORS.items()}
     faces = {f: _triple(pairings, *f) for f in CANONICAL_FACES}
     return TetraCoords(edges, faces)
 

@@ -12,8 +12,7 @@ from scipy.integrate import quad
 from flagdual import (FlagTuple, GaussRational, Mat3, ProjPoint1, bundled,
                       complete_from_minimal, dump_complex, reconstruct,
                       very_generic)
-from flagdual.complexes import (DecoratedComplex, Decoration, FacePairing,
-                                IdealTriangulation)
+from flagdual.complexes import FacePairing, IdealTriangulation
 from flagdual.gaussian import exponent_vector, prime_key
 from flagdual.projective import negligible, vcross
 from flagdual.scalars import is_exact
@@ -260,37 +259,11 @@ def classical_edge_products(triangulation, shape):
 
 # -- scalable complexes ------------------------------------------------------
 
-def cyclic_cover(n, voltages, base=None) -> IdealTriangulation:
-    """n-fold voltage cover of a base triangulation (the figure-eight
-    by default).
-
-    Copy s of base tetrahedron t is tetrahedron k*s + t, for k base
-    tetrahedra; copy s of face pairing p glues copy s of its first side
-    to copy s + voltages[p] (mod n) of its second side.  Lifting a
-    consistent decoration of the base tetrahedra gives a consistent
-    decoration with n times the volume.
-    """
-    if base is None:
-        base = bundled.figure_eight_triangulation()
-    k = base.n
-    return IdealTriangulation(k * n, [
-        FacePairing(k * s + p.tet_a, p.face_a,
-                    k * ((s + v) % n) + p.tet_b, p.face_b)
-        for p, v in zip(base.pairings, voltages) for s in range(n)])
-
-
-def lifted_cover(base: DecoratedComplex, n, voltages) -> DecoratedComplex:
-    """The base decoration lifted to cyclic_cover(n, voltages): every
-    copy of a base tetrahedron carries its coordinates."""
-    tri = cyclic_cover(n, voltages, base.triangulation)
-    return DecoratedComplex(tri, Decoration(list(base.coords) * n))
-
-
 def reversed_face_order_cover() -> IdealTriangulation:
     """The 4-fold figure-eight cover on voltages (1, 1, 0, 0), with every
     other pairing written with both faces in odd vertex order (the same
     gluing), so that a face enters its equation as a reciprocal."""
-    cover = cyclic_cover(4, (1, 1, 0, 0))
+    cover = bundled.cyclic_cover(4, (1, 1, 0, 0))
     return IdealTriangulation(cover.n, [
         FacePairing(p.tet_a, p.face_a[::-1], p.tet_b, p.face_b[::-1])
         if k % 2 else p for k, p in enumerate(cover.pairings)])

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flagdual import (DecoratedComplex, Decoration, GaussRational,
-                      complete_from_minimal, dump_complex, load_complex,
-                      read_complex, write_complex)
+from flagdual import (DecoratedComplex, Decoration, FormalSum, GaussRational,
+                      IdealTriangulation, ProjPoint1, complete_from_minimal,
+                      dual_coords_matrix, dump_complex, load_complex,
+                      read_complex, reconstruct, write_complex)
 from flagdual.bundled import (cr_complex, figure_eight_complex,
                               single_tetra_triangulation,
                               twisted_double_complex,
@@ -561,8 +562,34 @@ def test_malformed_pairings_are_parse_errors_naming_the_pairing(
 
 
 
-# name -> (argv, exit code, stdout and stderr patterns); {fig8} is a
-# figure-eight file and {tmp} the test's directory
+def _double_dual_beyond_the_digit_limit():
+    """A twisted double with 1,400-digit minimal parts: its longest part
+    has 4,198 digits, so it loads, but its dual has longer parts."""
+    big = 10 ** 1399
+    return json.dumps(dump_complex(twisted_double_complex((
+        GaussRational(big + 1, 1), GaussRational(2 * big + 7),
+        GaussRational(3, 2), GaussRational(5, 1))))).encode()
+
+
+def _double_with_edge_12(literal):
+    doc = dump_complex(twisted_double_complex())
+    doc["decoration"]["data"][0]["edges"]["12"] = literal
+    return json.dumps(doc).encode()
+
+
+# name -> the bytes of an input file, which argv names as {name}
+CLI_INPUTS = {
+    "fig8": lambda: json.dumps(dump_complex(figure_eight_complex())).encode(),
+    "long_literal": lambda: _double_with_edge_12("1" * 5001),
+    "long_int": lambda: b'{"tetrahedra": ' + b"7" * 5000 + b"}",
+    "latin1": lambda: b'{"t\xe9trahedra": 2}',
+    "deep": lambda: b"[" * 100_000 + b"]" * 100_000,
+    "long_dual": _double_dual_beyond_the_digit_limit,
+}
+_CANNOT_READ = r"^error: cannot read \S+\.json: [^\n]+\n$"
+
+# name -> (argv, exit code, stdout and stderr patterns); {tmp} is the
+# test's directory
 CLI_PATHS = {
     "complex-param": (["example", "hyperbolic", "--param", "1+2j", "--json"],
                       0, r'^\{"complex": .*"12": \[1\.0, 2\.0\]', r"^$"),
@@ -584,15 +611,34 @@ CLI_PATHS = {
     "output-into-missing-directory": (
         ["example", "figure8", "-o", "{tmp}/missing/out.json"], 1, r"^$",
         r"^error: \[Errno 2\] No such file or directory: \S+\n$"),
+    # Python's 4,300-digit limit on int <-> str, and unreadable text
+    "literal-beyond-the-digit-limit": (
+        ["volume", "{long_literal}"], 1, r"^$",
+        r"^error: decoration\.data\[0\]\.edges\.12: '1{56}\.\.\. has a "
+        r"part of more than \d+ digits\n$"),
+    "json-int-beyond-the-digit-limit": (
+        ["volume", "{long_int}"], 1, r"^$", _CANNOT_READ),
+    "not-utf-8": (["check", "{latin1}"], 1, r"^$", _CANNOT_READ),
+    "nested-beyond-the-recursion-limit": (
+        ["beta", "{deep}"], 1, r"^$", _CANNOT_READ),
+    "param-beyond-the-digit-limit": (
+        ["example", "hyperbolic", "--param", "9" * 5000], 2, r"^$",
+        r"^error: z12 = \(inf\+0j\) is not finite\n$"),
+    "dual-beyond-the-digit-limit": (
+        ["dualize", "{long_dual}", "-o", "{tmp}/out.json"], 2, r"^$",
+        r"^error: cannot write an exact part of more than \d+ digits\n$"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CLI_PATHS))
 def test_cli_paths_exit_and_report(case, tmp_path, capsys):
     argv, code, out_pattern, err_pattern = CLI_PATHS[case]
-    f = tmp_path / "fig8.json"
-    write_complex(f, figure_eight_complex())
-    argv = [a.format(fig8=f, tmp=tmp_path) for a in argv]
+    paths = {name: tmp_path / f"{name}.json" for name in CLI_INPUTS}
+    argv = [a.format(tmp=tmp_path, **paths) for a in argv]
+    inputs = {path for path in paths.values() if str(path) in argv}
+    for name, path in paths.items():
+        if path in inputs:
+            path.write_bytes(CLI_INPUTS[name]())
     try:
         got = main(argv)
     except SystemExit as exc:  # argparse's usage error
@@ -601,3 +647,74 @@ def test_cli_paths_exit_and_report(case, tmp_path, capsys):
     assert got == code
     assert re.search(out_pattern, out, re.S), out
     assert re.search(err_pattern, err, re.S), err
+    if code:  # a failed verb leaves no file behind
+        assert set(tmp_path.iterdir()) == inputs
+
+
+def _cr_flag_with(key, value):
+    doc = _cr_doc()
+    doc["decoration"]["data"][0][0][key] = value
+    return doc
+
+
+def _double_with_face_123(literal):
+    doc = dump_complex(twisted_double_complex())
+    doc["decoration"]["data"][0]["faces"]["123"] = literal
+    return doc
+
+
+def _fig8_with_map(entries):
+    doc = _fig8_doc()
+    doc["pairings"][0]["map"] = entries  # faceA (2, 4, 3), faceB (2, 3, 4)
+    return doc
+
+
+# name -> (where the input comes from, what makes it, the error class
+# and message); a "file" case writes the document for `check` to read
+INPUT_CHECKS = {
+    "zero-flag-point": ("file", lambda: _cr_flag_with(
+        "point", [[0.0, 0.0]] * 3), errors.DegenerateInput,
+        "tetrahedron 0: flag point is the zero triple"),
+    "zero-flag-line": ("file", lambda: _cr_flag_with(
+        "line", [[0.0, 0.0]] * 3), errors.DegenerateInput,
+        "tetrahedron 0: flag line is the zero triple"),
+    "zero-face": ("file", lambda: _double_with_face_123("0"),
+                  errors.OutOfDomain,
+                  "tetrahedron 0: face coordinate (1, 2, 3) is zero"),
+    "map-out-of-order": ("file", lambda: _fig8_with_map(
+        [[2, 3], [4, 2], [3, 4]]), errors.MalformedPairing,
+        "faceB (2, 3, 4) is not the ordered image (3, 2, 4) of faceA "
+        "under the map"),
+    "unknown-backend": ("call", lambda: load_complex(_fig8_doc(), "quad"),
+                        errors.ParseError, "unknown backend 'quad'"),
+    "negative-count": ("call", lambda: IdealTriangulation(-1, []),
+                       errors.MalformedPairing, "negative tetrahedron count"),
+    "mixed-decoration": ("call", lambda: Decoration([
+        complete_from_minimal((2, 3, 5, 7)),
+        complete_from_minimal((2.0, 3, 5, 7))]), errors.BackendMismatch,
+        "decoration mixes exact and float tetrahedra"),
+    "not-very-generic-flags": ("call", lambda: dual_coords_matrix(
+        reconstruct((2, 3, -4, 5))), errors.NotVeryGeneric,
+        "flag tuple is not very generic"),
+    "float-in-gauss-rational": ("call", lambda: GaussRational(1.5),
+                                errors.BackendMismatch,
+                                "cannot combine exact scalar with float"),
+    "float-coefficient": ("call", lambda: FormalSum([(2, 1.5)]), TypeError,
+                          "coefficient 1.5 is not an integer"),
+    "zero-homogeneous-pair": ("call", lambda: ProjPoint1(0, 0),
+                              errors.DegenerateInput,
+                              "homogeneous pair (0, 0)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_checks_raise_their_error(case, tmp_path, capsys):
+    source, make, error, message = INPUT_CHECKS[case]
+    if source == "file":
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(make()))
+        assert run_cli(capsys, "check", str(f)) == (
+            error.exit_code, "", f"error: {message}\n")
+    else:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()

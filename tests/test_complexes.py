@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flagdual import (DecoratedComplex, Decoration, FacePairing,
                       GaussRational, IdealTriangulation, beta_complex,
@@ -14,19 +16,18 @@ from flagdual import (DecoratedComplex, Decoration, FacePairing,
                       is_consistent, load_complex, solve_consistency,
                       very_generic, volume_complex)
 from flagdual.complexes import CheckItem, CheckReport
-from flagdual.bundled import (GEOMETRIC_SHAPE, cr_complex,
+from flagdual.bundled import (GEOMETRIC_SHAPE, cr_complex, cyclic_cover,
                               figure_eight_complex,
                               figure_eight_triangulation, hyperbolic_complex,
-                              single_tetra_triangulation,
+                              lifted_cover, single_tetra_triangulation,
                               twisted_double_complex,
                               twisted_double_triangulation)
 from flagdual import prebloch
 from flagdual.duality import beta_defect
 from flagdual.errors import MalformedPairing, NotVeryGeneric
 
-from helpers import (classical_edge_products, cyclic_cover,
-                     flood_fill_edge_orbits, lifted_cover, rand_exact_tetra,
-                     reversed_face_order_cover)
+from helpers import (classical_edge_products, flood_fill_edge_orbits,
+                     rand_exact_tetra, reversed_face_order_cover)
 
 FIG8_VOLUME = 2.029883212819307
 
@@ -68,7 +69,7 @@ def test_malformed_pairings_rejected():
                              "tetB": 1, "faceB": [1, 2, 3], key: value}]
         with pytest.raises(MalformedPairing):
             load_complex(data)
-    with pytest.raises(MalformedPairing):
+    with pytest.raises(MalformedPairing, match="paired with itself"):
         IdealTriangulation(1, [FacePairing(0, (1, 2, 3), 0, (2, 1, 3))])
     # one face in two pairings
     p1 = FacePairing(0, (1, 2, 3), 1, (1, 2, 3))
@@ -395,6 +396,42 @@ def test_edges_are_built_once_and_only_when_read():
     rows = tri.equations
     assert dualize(dc).triangulation.equations is rows
     assert len(rows) == len(tri.pairings) + 2 * len(tri.edge_classes())
+
+
+COVER_BASES = {"figure8": figure_eight_complex,
+               "double": twisted_double_complex}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(COVER_BASES)), st.integers(1, 12),
+       st.tuples(*[st.integers(-20, 20)] * 4))
+def test_lifts_stay_consistent_with_n_times_the_volume(base, n, voltages):
+    dc = COVER_BASES[base]()
+    lift = lifted_cover(dc, n, voltages)
+    assert lift.triangulation.n == n * dc.triangulation.n
+    assert lift.triangulation.is_closed()
+    # passed() is exact on the exact double and ignores the tolerance
+    assert check_faces(lift).passed(1e-12) and check_edges(lift).passed(1e-12)
+    assert abs(volume_complex(lift) - n * volume_complex(dc)) <= 1e-12 * n
+    assert canonicalize_six(duality_defect(lift)).is_zero()
+    if dc.decoration.exact:
+        assert delta_exact(beta_complex(lift)).is_zero()
+
+
+@given(st.sampled_from(sorted(COVER_BASES)), st.integers(-12, 12),
+       st.integers(0, 8))
+def test_cover_degree_and_voltage_count_are_checked(base, n, count):
+    assume(n < 1 or count != 4)
+    with pytest.raises(MalformedPairing, match="a cover needs"):
+        cyclic_cover(n, (1,) * count, COVER_BASES[base]().triangulation)
+
+
+@pytest.mark.parametrize("n,voltages", [
+    (True, (1, 0, 0, 0)), (4.0, (1, 0, 0, 0)), ("4", (1, 0, 0, 0)),
+    (4, (1, 0, 0, 0.0)), (4, (1, False, 0, 0)), (4, (1, 0, 0, "0"))])
+def test_cover_degree_and_voltages_are_ints(n, voltages):
+    with pytest.raises(MalformedPairing, match="a cover needs"):
+        cyclic_cover(n, voltages)
 
 
 @pytest.mark.parametrize("n", [64, 256])

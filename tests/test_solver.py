@@ -13,8 +13,9 @@ from flagdual import (DecoratedComplex, Decoration, canonicalize_six,
                       check_edges, check_faces, complete_from_minimal,
                       duality_defect, dualize, solve_consistency, solver,
                       volume_complex)
-from flagdual.bundled import (GEOMETRIC_SHAPE, figure_eight_complex,
-                              figure_eight_triangulation,
+from flagdual.bundled import (GEOMETRIC_SHAPE, cyclic_cover,
+                              figure_eight_complex,
+                              figure_eight_triangulation, lifted_cover,
                               single_tetra_triangulation,
                               twisted_double_complex,
                               twisted_double_triangulation)
@@ -25,8 +26,7 @@ from flagdual.solver import (DENSE_MAX_UNKNOWNS, ConsistencySystem, cgls,
 from flagdual.tetra import C1, C2, CHART_FACTORS, ID
 from flagdual.tolerances import CGLS_RTOL, CGLS_RTOL_MAX
 
-from helpers import (cyclic_cover, finite_difference_jacobian, lifted_cover,
-                     reversed_face_order_cover)
+from helpers import finite_difference_jacobian, reversed_face_order_cover
 
 
 def _perturbed_figure_eight(scale=1e-3, seed=7):
@@ -307,19 +307,12 @@ def test_solving_a_cover_imports_no_scipy():
     code = """if True:
         import sys
         import numpy as np
-        from flagdual import (DecoratedComplex, Decoration, FacePairing,
-                              IdealTriangulation, bundled,
-                              complete_from_minimal, solve_consistency)
+        from flagdual import bundled, solve_consistency
         from flagdual.solver import complex_from_vector, minimal_vector
-        n, voltages = 32, (3, 5, 7, 11)
-        base = bundled.figure_eight_triangulation()
-        tri = IdealTriangulation(2 * n, [
-            FacePairing(2 * s + p.tet_a, p.face_a,
-                        2 * ((s + v) % n) + p.tet_b, p.face_b)
-            for p, v in zip(base.pairings, voltages) for s in range(n)])
-        c = complete_from_minimal((bundled.GEOMETRIC_SHAPE,) * 4)
-        lift = DecoratedComplex(tri, Decoration([c] * tri.n))
-        m = minimal_vector(lift) * (1 + 1e-3 * np.sin(np.arange(4 * tri.n)))
+        lift = bundled.lifted_cover(bundled.figure_eight_complex(), 32,
+                                    (3, 5, 7, 11))
+        m = minimal_vector(lift)
+        m = m * (1 + 1e-3 * np.sin(np.arange(m.size)))
         result = solve_consistency(complex_from_vector(lift, m))
         assert result.residual < 1e-12 and result.history[0].rank is None
         print("scipy" in sys.modules)
