@@ -122,8 +122,8 @@ def twisted_double_complex(minimal=None) -> DecoratedComplex:
 def cyclic_cover(n, voltages, base=None) -> IdealTriangulation:
     """The n-fold cyclic voltage cover of base (default: figure-eight).
 
-    Copy s of base tetrahedron t is tetrahedron k*s + t, for k base
-    tetrahedra.  Copy s of pairing p glues its first side in copy s to
+    Copy s of base tetrahedron t is tetrahedron k*s + t, where k is
+    base.n.  Copy s of pairing p glues its first side in copy s to
     its second in copy s + voltages[p] (mod n).  n must be a positive
     int and voltages one int per base pairing, or MalformedPairing.
     """
@@ -133,10 +133,9 @@ def cyclic_cover(n, voltages, base=None) -> IdealTriangulation:
         raise MalformedPairing(
             f"a cover needs a positive int n and one int voltage per base "
             f"pairing ({len(base.pairings)}), got n = {n!r}, {voltages}")
-    k = base.n
-    return IdealTriangulation(k * n, [
-        FacePairing(k * s + p.tet_a, p.face_a,
-                    k * ((s + v) % n) + p.tet_b, p.face_b)
+    return IdealTriangulation(base.n * n, [
+        FacePairing(base.n * s + p.tet_a, p.face_a,
+                    base.n * ((s + v) % n) + p.tet_b, p.face_b)
         for p, v in zip(base.pairings, voltages) for s in range(n)])
 
 

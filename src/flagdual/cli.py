@@ -41,7 +41,9 @@ def _parse_param(text):
     """Shape parameter: exact 'a/b+c/d*i' first, then Python's complex()."""
     try:
         return parse_exact(text)
-    except ParseError:
+    except ParseError as exc:
+        if exc.__cause__:  # an exact literal that cannot be read
+            raise
         try:
             return complex(text)
         except ValueError:

@@ -78,8 +78,7 @@ class IdealTriangulation:
         self._paired = set()
         for p in self.pairings:
             if (p.tet_a, frozenset(p.face_a)) == (p.tet_b, frozenset(p.face_b)):
-                raise MalformedPairing(
-                    "a face cannot be paired with itself")
+                raise MalformedPairing("a face cannot be paired with itself")
             for tet, face in ((p.tet_a, p.face_a), (p.tet_b, p.face_b)):
                 if not 0 <= tet < self.n:
                     raise MalformedPairing(

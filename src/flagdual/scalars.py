@@ -306,15 +306,11 @@ def normalize_values(values, what="scalars"):
 # [re, im].  Every file format in the package shares this encoding.
 
 def format_exact(x: GaussRational) -> str:
-    try:
-        re_s = str(x.re)
-        if x.im == 0:
-            return re_s
-        sign = "+" if x.im > 0 else "-"
-        return f"{re_s}{sign}{abs(x.im)}*i"
-    except ValueError:  # the digit limit, which parse_exact would hit too
-        raise Unsupported("cannot write an exact part of more than "
-                          f"{sys.get_int_max_str_digits()} digits") from None
+    re_s = str(x.re)
+    if x.im == 0:
+        return re_s
+    sign = "+" if x.im > 0 else "-"
+    return f"{re_s}{sign}{abs(x.im)}*i"
 
 
 # [±]a[/b], [±]a[/b]±[c[/d][*]]i or [±][c[/d][*]]i: a space may stand
@@ -327,9 +323,9 @@ _LITERAL = _re.compile(
     rf"(?: *((?(2)[+-]|[+-]?)) *(?:{_RATIONAL} *\*? *)?(i))?")
 
 
-def clip(text: str, width=60) -> str:
-    """text, cut to width characters ending in "..." when longer."""
-    return text if len(text) <= width else text[:width - 3] + "..."
+def clip(text: str) -> str:
+    """text, cut to 60 characters ending in "..." when longer."""
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def parse_exact(s: str) -> GaussRational:
@@ -341,16 +337,20 @@ def parse_exact(s: str) -> GaussRational:
         return GaussRational(
             Fraction(int(re_sign + (a or "0")), int(b or 1)),
             Fraction(int(im_sign + (c or "1")), int(d or 1)) if i else 0)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator: {clip(repr(s))}") from None
-    except ValueError:  # the pattern matched: int()'s digit limit
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator: {clip(repr(s))}") from exc
+    except ValueError as exc:  # int()'s digit limit
         raise ParseError(f"{clip(repr(s))} has a part of more than "
-                         f"{sys.get_int_max_str_digits()} digits") from None
+                         f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def scalar_to_json(x):
     if is_exact(x):
-        return format_exact(exactify(x))
+        try:
+            return format_exact(exactify(x))
+        except ValueError:  # the digit limit, which parse_exact would hit too
+            raise Unsupported("cannot write an exact part of more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
     z = complex(x)
     return [z.real, z.imag]
 

@@ -622,8 +622,11 @@ CLI_PATHS = {
     "nested-beyond-the-recursion-limit": (
         ["beta", "{deep}"], 1, r"^$", _CANNOT_READ),
     "param-beyond-the-digit-limit": (
-        ["example", "hyperbolic", "--param", "9" * 5000], 2, r"^$",
-        r"^error: z12 = \(inf\+0j\) is not finite\n$"),
+        ["example", "hyperbolic", "--param", "9" * 5000], 1, r"^$",
+        r"^error: '9{56}\.\.\. has a part of more than \d+ digits\n$"),
+    "param-with-zero-denominator": (
+        ["example", "hyperbolic", "--param", "1/0"], 1, r"^$",
+        r"^error: zero denominator: '1/0'\n$"),
     "dual-beyond-the-digit-limit": (
         ["dualize", "{long_dual}", "-o", "{tmp}/out.json"], 2, r"^$",
         r"^error: cannot write an exact part of more than \d+ digits\n$"),
