@@ -13,8 +13,11 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DegenerateInput, NotOnSphere
-from .projective import Mat3, ProjPoint1, balanced, det3, negligible, vdot
-from .scalars import GaussRational, exactify, is_exact, normalize_values
+from .gaussian import gi_mul
+from .projective import (Mat3, ProjPoint1, balanced, det3, gi_det3, gi_vcross,
+                         gi_vdot, integral, integral_rows, negligible, vdot)
+from .scalars import (GaussRational, describe, exactify, is_exact,
+                      normalize_values)
 
 
 class Flag:
@@ -36,7 +39,7 @@ class Flag:
         incidence = vdot(line, point)
         if not negligible(incidence, line, point):
             raise DegenerateInput(
-                f"flag incidence violated: f(x) = {incidence!r}")
+                f"flag incidence violated: f(x) = {describe(incidence)}")
         self.point = point
         self.line = line
 
@@ -76,38 +79,52 @@ class FlagTuple:
         return FlagTuple([f.dual() for f in self.flags])
 
     def transformed(self, m: Mat3) -> "FlagTuple":
-        """Apply a projectivity: points by m, covectors by (m^T)^-1."""
-        minv_t = m.inverse().transpose()
-        return FlagTuple([Flag(m.apply(f.point), minv_t.apply(f.line))
+        """Apply a projectivity: points by m, covectors by (m^T)^-1.  On
+        exact flags the covectors go by its multiple adj(m^T), whose rows
+        are the cross products of the rows of m: no division."""
+        if not (is_exact(m.rows[0][0]) and is_exact(self.flags[0].point[0])):
+            minv_t = m.inverse().transpose()
+            return FlagTuple([Flag(m.apply(f.point), minv_t.apply(f.line))
+                              for f in self.flags])
+        r1, r2, r3 = rows = integral_rows(m)
+        adj = (gi_vcross(r2, r3), gi_vcross(r3, r1), gi_vcross(r1, r2))
+        return FlagTuple([Flag(_image(rows, integral(f.point)),
+                               _image(adj, integral(f.line)))
                           for f in self.flags])
 
 
-def cross_pairings(t) -> dict:
-    """{(i, j): f_i(x_j)} for distinct flags of t (numbered from 1), of the
-    balanced points and lines (see projective.balanced), as point_minors;
-    DegenerateInput names the first pairing that vanishes."""
-    points = [balanced(f.point)[0] for f in t]
-    lines = [balanced(f.line)[0] for f in t]
+def _image(rows, v):
+    """The product of a matrix and a vector, both of Gaussian integers, as
+    a triple of GaussRationals."""
+    return tuple(GaussRational(*gi_vdot(r, v)) for r in rows)
+
+
+def _kernel(vectors):
+    """(representatives, pairing, determinant) of vectors of one backend:
+    exact ones integral, for the Gaussian-integer kernels; float ones
+    balanced (see projective.balanced), for vdot and det3."""
+    if all(is_exact(v[0]) for v in vectors):
+        return [integral(v) for v in vectors], gi_vdot, gi_det3
+    return [balanced(v)[0] for v in vectors], vdot, det3
+
+
+def _pairings(points, lines, dot) -> dict:
     out = {}
     for i, u in enumerate(lines, 1):
         for j, x in enumerate(points, 1):
             if i != j:
-                v = vdot(u, x)
+                v = dot(u, x)
                 if negligible(v, u, x):
                     raise DegenerateInput(f"pairing f{i}(x{j}) vanishes")
                 out[(i, j)] = v
     return out
 
 
-def point_minors(t) -> dict:
-    """{(i, j, k): det(x_i, x_j, x_k)} for i < j < k, of the balanced
-    points (see projective.balanced); DegenerateInput names the first
-    three collinear points (on t.dual(), lines)."""
-    points = [balanced(f.point)[0] for f in t]
+def _minors(points, det) -> dict:
     out = {}
-    for key in combinations(range(1, len(t) + 1), 3):
+    for key in combinations(range(1, len(points) + 1), 3):
         cols = [points[v - 1] for v in key]
-        d = det3(*cols)
+        d = det(*cols)
         if negligible(d, *cols):
             raise DegenerateInput(
                 "points x{}, x{}, x{} are collinear".format(*key))
@@ -115,11 +132,35 @@ def point_minors(t) -> dict:
     return out
 
 
+def cross_pairings(t) -> dict:
+    """{(i, j): f_i(x_j)} for distinct flags of t (numbered from 1), of the
+    representatives of the points and lines (see _kernel): Gaussian
+    integers, (a, b) int pairs, on exact flags, complex numbers on float
+    ones; DegenerateInput names the first pairing that vanishes."""
+    points, dot, _ = _kernel([f.point for f in t])
+    return _pairings(points, _kernel([f.line for f in t])[0], dot)
+
+
+def point_minors(t) -> dict:
+    """{(i, j, k): det(x_i, x_j, x_k)} for i < j < k, of the point
+    representatives (see cross_pairings); DegenerateInput names the first
+    three collinear points (on t.dual(), lines)."""
+    points, _, det = _kernel([f.point for f in t])
+    return _minors(points, det)
+
+
+def measurements(t):
+    """(cross_pairings(t), point_minors(t)), with each representative
+    made once."""
+    points, dot, det = _kernel([f.point for f in t])
+    lines = _kernel([f.line for f in t])[0]
+    return _pairings(points, lines, dot), _minors(points, det)
+
+
 def is_generic(t: FlagTuple) -> bool:
     """All cross pairings f_i(x_j) nonzero and no three points collinear."""
     try:
-        cross_pairings(t)
-        point_minors(t)
+        measurements(t)
     except DegenerateInput:
         return False
     return True
@@ -127,38 +168,53 @@ def is_generic(t: FlagTuple) -> bool:
 
 def is_very_generic(t: FlagTuple) -> bool:
     """Generic, and additionally no three of the lines are concurrent."""
+    points, dot, det = _kernel([f.point for f in t])
+    lines = _kernel([f.line for f in t])[0]
     try:
-        point_minors(t.dual())
+        _minors(lines, det)
+        _pairings(points, lines, dot)
+        _minors(points, det)
     except DegenerateInput:
         return False
-    return is_generic(t)
+    return True
 
 
 def normalize_to_standard(t) -> Mat3:
     """The projectivity sending four general-position points to the frame.
 
     Accepts a FlagTuple or a plain list of four point triples and returns
-    the unique (up to scale) matrix carrying them to [1,0,0], [0,1,0],
-    [0,0,1], [1,1,1] in order, from the balanced points (see balanced).
+    the matrix, unique up to scale, carrying them to [1,0,0], [0,1,0],
+    [0,0,1], [1,1,1] in order.  With p4 = l1*p1 + l2*p2 + l3*p3 and M the
+    matrix of columns l_i*p_i, that is M^-1, of the balanced points on
+    floats (see balanced); on exact points it is adj(M) = det(M) M^-1 of
+    their integral representatives, with l_i the Cramer numerators (the
+    common denominator is a scale), so no entry needs a division.
     """
     pts = t.points() if isinstance(t, FlagTuple) else [tuple(p) for p in t]
     if len(pts) != 4:
         raise DegenerateInput("need exactly four points")
-    pts = [balanced(p)[0] for p in pts]
+    pts, _, det = _kernel(pts)
     p1, p2, p3, p4 = pts
-    d = det3(p1, p2, p3)
+    d = det(p1, p2, p3)
     if negligible(d, p1, p2, p3):
         raise DegenerateInput("first three points are collinear")
     # solve p4 = l1*p1 + l2*p2 + l3*p3 by Cramer's rule; a zero numerator
     # puts p4 on the line through the other two points
-    columns = []
+    numerators = []
     for idx, cols in enumerate(((p4, p2, p3), (p1, p4, p3), (p1, p2, p4))):
-        n = det3(*cols)
+        n = det(*cols)
         if negligible(n, *cols):
             raise DegenerateInput(
                 f"fourth point is collinear with two others (lambda{idx + 1} = 0)")
-        columns.append(tuple(n / d * c for c in pts[idx]))
-    return Mat3.from_columns(*columns).inverse()
+        numerators.append(n)
+    if det is gi_det3:
+        # adj(M) has the rows c2 x c3, c3 x c1, c1 x c2 of the columns of M
+        c1, c2, c3 = ([gi_mul(n, c) for c in p]
+                      for n, p in zip(numerators, pts))
+        adj = (gi_vcross(c2, c3), gi_vcross(c3, c1), gi_vcross(c1, c2))
+        return Mat3([[GaussRational(*z) for z in row] for row in adj])
+    return Mat3.from_columns(*(tuple(n / d * c for c in p) for n, p in
+                               zip(numerators, pts))).inverse()
 
 
 def hyperbolic_flag(p: ProjPoint1) -> Flag:
@@ -202,7 +258,7 @@ def cr_flag(x) -> Flag:
     h = _hermitian_pairing(y, y)
     if not negligible(h, y, y):
         what = "<x,x>" if y is x else "<x,x>/max|x_i|^2"
-        raise NotOnSphere(f"{what} = {h} != 0")
+        raise NotOnSphere(f"{what} = {describe(h)} != 0")
     line = (x[2].conjugate(), x[1].conjugate(), x[0].conjugate())
     return Flag(x, line)
 

@@ -24,20 +24,23 @@ from sympy import factorint
 from .errors import Unsupported
 from .scalars import exactify, is_exact
 
-# Gaussian integers are bare (a, b) int pairs throughout this module.
+# Gaussian integers are bare (a, b) int pairs throughout this module, and
+# in the exact projective kernels, which share its two ring operations.
 
 
-def _gi_mul(x, y):
+def gi_mul(x, y):
+    """The product of two Gaussian integers."""
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def _gi_norm(x):
+def gi_norm(x):
+    """The norm a^2 + b^2 of a Gaussian integer (a, b)."""
     return x[0] * x[0] + x[1] * x[1]
 
 
 def _gi_divmod(x, y):
     """Rounded division making Z[i] a Euclidean domain."""
-    n = _gi_norm(y)
+    n = gi_norm(y)
     cr = x[0] * y[0] + x[1] * y[1]
     ci = x[1] * y[0] - x[0] * y[1]
     qr = (2 * cr + n) // (2 * n)
@@ -84,9 +87,9 @@ class GaussianFactorization:
         z = (1, 0)
         for p, e in self.factors:
             for _ in range(e):
-                z = _gi_mul(z, p)
+                z = gi_mul(z, p)
         for _ in range(self.unit_pow % 4):
-            z = _gi_mul(z, (0, 1))
+            z = gi_mul(z, (0, 1))
         return z
 
     def __str__(self):
@@ -99,7 +102,7 @@ class GaussianFactorization:
 
 def prime_key(p):
     """Canonical order of normalized primes: by norm, then coordinates."""
-    return (_gi_norm(p), p[0], p[1])
+    return (gi_norm(p), p[0], p[1])
 
 
 def _sqrt_minus_one(p):
@@ -117,7 +120,7 @@ def factor_gauss_int(z) -> GaussianFactorization:
         raise ZeroDivisionError("cannot factor zero")
     unit = 0
     found = {}
-    for p, e in factorint(_gi_norm(z)).items():
+    for p, e in factorint(gi_norm(z)).items():
         if p == 2:
             over = ((1, 1),)
         elif p % 4 == 3:
@@ -141,12 +144,13 @@ def factor_gauss_int(z) -> GaussianFactorization:
     return GaussianFactorization(unit, factors)
 
 
-def factor_gaussian(q):
+def factor_gaussian(q, memo=None):
     """Split an exact scalar into numerator/denominator factorizations.
 
     Returns (GaussianFactorization of the Gaussian-integer numerator,
     GaussianFactorization of the positive rational-integer denominator);
-    their quotient recomposes to the input.
+    their quotient recomposes to the input.  A dict passed as memo keeps
+    each Gaussian integer's factorization for the calls that share it.
     """
     if not is_exact(q):
         raise Unsupported("factor_gaussian requires the exact backend")
@@ -154,12 +158,17 @@ def factor_gaussian(q):
     if q.is_zero():
         raise ZeroDivisionError("cannot factor zero")
     a, b, d = q.integer_parts()
-    return factor_gauss_int((a, b)), factor_gauss_int((d, 0))
+    memo = {} if memo is None else memo
+    for z in ((a, b), (d, 0)):
+        if z not in memo:
+            memo[z] = factor_gauss_int(z)
+    return memo[a, b], memo[d, 0]
 
 
-def exponent_vector(q) -> dict:
-    """Merged prime -> exponent map of an exact scalar (units dropped)."""
-    fnum, fden = factor_gaussian(q)
+def exponent_vector(q, memo=None) -> dict:
+    """Merged prime -> exponent map of an exact scalar (units dropped);
+    memo as for factor_gaussian."""
+    fnum, fden = factor_gaussian(q, memo)
     vec = dict(fnum.factors)
     for p, e in fden.factors:
         vec[p] = vec.get(p, 0) - e

@@ -378,11 +378,12 @@ def delta_exact(s: FormalSum) -> WedgeElement:
     in the Bloch group up to torsion; it is not sufficient.
     """
     coeffs = {}  # (p, q), p before q in prime_key order -> coefficient
+    memo = {}  # one factorization per Gaussian integer: z, 1 - z share d
     for g, n in s.terms:
         if not isinstance(g, GaussRational):
             raise Unsupported("delta_exact requires exact generators")
-        u = exponent_vector(1 - g)
-        for p, e in exponent_vector(g).items():
+        u = exponent_vector(1 - g, memo)
+        for p, e in exponent_vector(g, memo).items():
             for q, f in u.items():
                 # p wedge p = 0, and q wedge p = -(p wedge q)
                 if prime_key(p) < prime_key(q):

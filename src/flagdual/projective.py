@@ -8,6 +8,14 @@ negligible(value, *operands): exact zero in the exact backend; in float,
 |value| at most DEGENERACY_TOL times the product of the Euclidean norms
 of the operands the value is multilinear in, so that rescaling a
 homogeneous representative never changes the answer.
+
+A homogeneous representative is free to rescale, and each backend picks
+the one its kernels compute on: a float point or line is balanced by a
+power of two (balanced); an exact one is cleared of its denominators
+and of its integer content (integral), and an exact matrix of its
+denominators (integral_rows).  The exact kernels gi_vdot, gi_vcross and
+gi_det3 then run on Gaussian integers, (a, b) int pairs, with no gcd at
+all; a zero test there is a comparison with (0, 0).
 """
 
 from __future__ import annotations
@@ -16,12 +24,14 @@ import cmath
 import math
 
 from .errors import DegenerateInput, SingularMatrix
-from .scalars import is_exact, normalize_values
+from .gaussian import gi_mul
+from .scalars import exactify, is_exact, normalize_values
 from .tolerances import DEGENERACY_TOL
 
 
 def negligible(value, *operands) -> bool:
-    """The zero test: exact in the exact backend, relative in float.
+    """The zero test: exact in the exact backend, on a scalar or on a
+    Gaussian integer of the exact kernels; relative in float.
 
     In float, value is compared with DEGENERACY_TOL times the product of
     the operands' Euclidean norms; the exact backend computes no norm.
@@ -29,6 +39,8 @@ def negligible(value, *operands) -> bool:
     product of norms that does is inf, and every value is negligible
     against it, a value that overflowed to inf or nan included.
     """
+    if type(value) is tuple:  # a Gaussian integer of the exact kernels
+        return value == (0, 0)
     if is_exact(value):
         return value == 0
     scale = 1.0
@@ -124,6 +136,58 @@ def vcross(u, v):
 def det3(c1, c2, c3):
     """Determinant of the matrix with columns c1, c2, c3."""
     return vdot(c1, vcross(c2, c3))
+
+
+# -- Gaussian-integer representatives (the exact kernels) --------------------
+
+def integral(v):
+    """The primitive Gaussian-integer multiple of an exact point or line,
+    as three (a, b) int pairs: its entries over their common denominator,
+    divided by the gcd of all their parts."""
+    (a0, b0, d0), (a1, b1, d1), (a2, b2, d2) = [exactify(c).integer_parts()
+                                                for c in v]
+    den = math.lcm(d0, d1, d2)
+    if den != 1:
+        k0, k1, k2 = den // d0, den // d1, den // d2
+        a0, b0, a1, b1, a2, b2 = a0 * k0, b0 * k0, a1 * k1, b1 * k1, \
+            a2 * k2, b2 * k2
+    g = math.gcd(a0, b0, a1, b1, a2, b2)
+    if g > 1:
+        a0, b0, a1, b1, a2, b2 = a0 // g, b0 // g, a1 // g, b1 // g, \
+            a2 // g, b2 // g
+    return (a0, b0), (a1, b1), (a2, b2)
+
+
+def integral_rows(m):
+    """The rows of an exact matrix times the common denominator of its
+    entries, as Gaussian-integer triples: a multiple of m, so the same
+    projectivity."""
+    den = math.lcm(*(c.integer_parts()[2] for r in m.rows for c in r))
+    return [tuple((c * den).integer_parts()[:2] for c in r) for r in m.rows]
+
+
+def gi_vdot(u, x):
+    """vdot of two Gaussian-integer triples."""
+    a, b = gi_mul(u[0], x[0])
+    c, d = gi_mul(u[1], x[1])
+    e, f = gi_mul(u[2], x[2])
+    return a + c + e, b + d + f
+
+
+def _gi_minor(u, v, i, j):
+    a, b = gi_mul(u[i], v[j])
+    c, d = gi_mul(u[j], v[i])
+    return a - c, b - d
+
+
+def gi_vcross(u, v):
+    """vcross of two Gaussian-integer triples."""
+    return _gi_minor(u, v, 1, 2), _gi_minor(u, v, 2, 0), _gi_minor(u, v, 0, 1)
+
+
+def gi_det3(c1, c2, c3):
+    """det3 of three Gaussian-integer triples."""
+    return gi_vdot(c1, gi_vcross(c2, c3))
 
 
 class Mat3:

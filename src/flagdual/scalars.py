@@ -3,10 +3,14 @@
 Two backends exist and are never mixed inside one expression:
 
 * exact  -- Gaussian rationals (a + b*i)/d, held as three ints in lowest
-  terms (d > 0, gcd(a, b, d) = 1) over one common denominator, so every
-  ring operation ends in a single gcd; all the polynomial identities of
-  the coordinate geometry hold on the nose here.  ``re`` and ``im``
-  read the parts as ``fractions.Fraction``.
+  terms (d > 0, gcd(a, b, d) = 1) over one common denominator; all the
+  polynomial identities of the coordinate geometry hold on the nose
+  here.  ``re`` and ``im`` read the parts as ``fractions.Fraction``.
+  A product or quotient ends in one gcd (``_reduced``); adding or
+  subtracting an int needs none, since gcd(a + n*d, b, d) = gcd(a, b, d).
+  The projective kernels work on Gaussian-integer representatives, with
+  no gcd per step, and turn each measured ratio into a scalar once, by
+  gauss_quotient.
 * float  -- plain binary64 ``complex``; used for dilogarithm volumes and
   the Newton solver.
 
@@ -77,9 +81,13 @@ class GaussRational:
     # -- ring operations ---------------------------------------------------
     #
     # Each operation takes a GaussRational operand as it is and sends any
-    # other through _coerce; each result ends in one gcd (_reduced).
+    # other through _coerce; each result ends in one gcd (_reduced).  An
+    # int (not a bool) added or subtracted keeps the result in lowest
+    # terms, gcd(a + n*d, b, d) = gcd(a, b, d) = 1, so it needs neither.
 
     def __add__(self, other):
+        if type(other) is int:
+            return _raw(self._a + other * self._d, self._b, self._d)
         if not isinstance(other, GaussRational):
             other = _coerce(other)
             if other is None:
@@ -93,6 +101,8 @@ class GaussRational:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is int:
+            return _raw(self._a - other * self._d, self._b, self._d)
         if not isinstance(other, GaussRational):
             other = _coerce(other)
             if other is None:
@@ -104,12 +114,16 @@ class GaussRational:
                         self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
+        if type(other) is int:
+            return _raw(other * self._d - self._a, -self._b, self._d)
         other = _coerce(other)
         if other is None:
             return NotImplemented
         return _subtract(other, self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _reduced(self._a * other, self._b * other, self._d)
         if not isinstance(other, GaussRational):
             other = _coerce(other)
             if other is None:
@@ -137,6 +151,8 @@ class GaussRational:
                         self._d * (a2 * a2 + b2 * b2))
 
     def __rtruediv__(self, other):
+        if type(other) is int:
+            return _divide(_raw(other, 0, 1), self)
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -176,10 +192,11 @@ class GaussRational:
         return NotImplemented
 
     def __hash__(self):
-        # equal to hash(Fraction) on real values, as == demands
+        # equal to hash(Fraction) on real values, as == demands; a
+        # non-real value equals only itself, so its one triple will do
         if self._b == 0:
             return hash(self._a) if self._d == 1 else hash(self.re)
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __complex__(self):
         return complex(_ratio(self._a, self._d), _ratio(self._b, self._d))
@@ -247,6 +264,18 @@ def _reduced(a, b, d):
     return z
 
 
+def gauss_quotient(num, den) -> GaussRational:
+    """The GaussRational num/den of two Gaussian integers, (a, b) int
+    pairs, den nonzero: num times the conjugate of den over its norm,
+    reduced once."""
+    (a, b), (c, d) = num, den
+    if d == 0:  # a real divisor needs no norm
+        if c == 0:
+            raise ZeroDivisionError("division by zero Gaussian integer")
+        return _reduced(-a, -b, -c) if c < 0 else _reduced(a, b, c)
+    return _reduced(a * c + b * d, b * c - a * d, c * c + d * d)
+
+
 # -- backend dispatch --------------------------------------------------------
 
 def is_exact(x) -> bool:
@@ -270,7 +299,8 @@ def check_domain(z, what):
     minus {0, 1}; otherwise OutOfDomain, naming the value as `what`."""
     if is_exact(z):
         z = exactify(z)
-        if z.is_zero() or z == 1:
+        # 0 or 1; with b = 0, lowest terms give a == d only at 1
+        if z._b == 0 and (z._a == 0 or z._a == z._d):
             raise OutOfDomain(f"{what} = {z} lies in {{0,1}}")
         return z
     z = complex(z)
@@ -326,6 +356,21 @@ _LITERAL = _re.compile(
 def clip(text: str) -> str:
     """text, cut to 60 characters ending in "..." when longer."""
     return text if len(text) <= 60 else text[:57] + "..."
+
+
+def describe(x) -> str:
+    """A scalar as error messages show it: str(x); an exact value with a
+    part past int's digit limit, which str() refuses, as 12 significant
+    digits of each part instead, clipped (see clip)."""
+    try:
+        return str(x)
+    except ValueError:  # the digit limit; decimal converts with none
+        from decimal import Context, Decimal  # loaded with fractions
+        a, b, d = exactify(x).integer_parts()
+        re, im = (Context(prec=12).divide(Decimal(n), Decimal(d))
+                  for n in (a, b))
+        return clip(f"~{re}" + (f"{'-' if b < 0 else '+'}{abs(im)}*i"
+                                if b else ""))
 
 
 def parse_exact(s: str) -> GaussRational:

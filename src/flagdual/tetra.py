@@ -17,7 +17,7 @@ as a shape z, 1/(1-z) or 1-1/z of one minimal coordinate, FACE_EDGES the
 edges of each face relation, and CHART_FACTORS every ordered pair or
 triple as a signed product of shapes.  TetraCoords stores all 16 values;
 its constructor (used by the file loader and by edge_coords, which
-measures from flags.cross_pairings and flags.point_minors) validates
+measures from flags.measurements) validates
 the relations, and derived values skip that check.  EVEN_COMPLETION and
 CANONICAL_FACES, the most error-prone convention, are quoted in the
 README.
@@ -30,9 +30,11 @@ from math import prod
 from typing import NamedTuple
 
 from .errors import DegenerateInput, NotVeryGeneric, OutOfDomain
-from .flags import Flag, FlagTuple, cross_pairings, point_minors
+from .flags import Flag, FlagTuple, cross_pairings, measurements
+from .gaussian import gi_mul
 from .prebloch import FormalSum, eval_D
-from .scalars import check_domain, is_exact, nearly_equal, normalize_values
+from .scalars import (check_domain, gauss_quotient, is_exact, nearly_equal,
+                      normalize_values)
 from .tolerances import VALIDATION_TOL, VERY_GENERIC_TOL
 
 VERTICES = (1, 2, 3, 4)
@@ -225,6 +227,9 @@ class TetraCoords:
 
 def _triple(p, i, j, k):
     """The triple ratio of flags i, j, k from their cross pairings p."""
+    if type(p[i, j]) is tuple:  # Gaussian integers: one quotient at the end
+        return gauss_quotient(gi_mul(gi_mul(p[i, j], p[j, k]), p[k, i]),
+                              gi_mul(gi_mul(p[i, k], p[j, i]), p[k, j]))
     return (p[i, j] * p[j, k] * p[k, i]) / (p[i, k] * p[j, i] * p[k, j])
 
 
@@ -240,19 +245,26 @@ def edge_coords(t: FlagTuple) -> TetraCoords:
     det(x_i,x_j,x_k)) with (i,j,k,l) even; face values are measured
     independently as triple ratios, and the constructor's validation
     cross-checks the two routes.  The pairings and minors come from
-    cross_pairings and point_minors, which refuse a degenerate tuple.
+    flags.measurements, which refuses a degenerate tuple.  On exact flags
+    they are Gaussian integers of the integral representatives, so each
+    value is one quotient, reduced once (scalars.gauss_quotient).
     """
     if len(t) != 4:
         raise DegenerateInput("edge_coords needs exactly four flags")
-    pairings = cross_pairings(t)
-    minors = point_minors(t)
+    pairings, minors = measurements(t)
+    if type(pairings[1, 2]) is tuple:  # Gaussian integers: exact flags
+        edges = {}
+        for (i, j), (k, l, (num, s), (den, r)) in _EDGE_MINORS.items():
+            a, b = gi_mul(pairings[i, k], minors[num])
+            edges[i, j] = gauss_quotient((a, b) if s == r else (-a, -b),
+                                         gi_mul(pairings[i, l], minors[den]))
+    else:
+        def det(key, sign):
+            return minors[key] if sign == 1 else -minors[key]
 
-    def det(key, sign):
-        return minors[key] if sign == 1 else -minors[key]
-
-    edges = {(i, j): (pairings[(i, k)] * det(*num))
-             / (pairings[(i, l)] * det(*den))
-             for (i, j), (k, l, num, den) in _EDGE_MINORS.items()}
+        edges = {(i, j): (pairings[(i, k)] * det(*num))
+                 / (pairings[(i, l)] * det(*den))
+                 for (i, j), (k, l, num, den) in _EDGE_MINORS.items()}
     faces = {f: _triple(pairings, *f) for f in CANONICAL_FACES}
     return TetraCoords(edges, faces)
 

@@ -660,6 +660,15 @@ def _cr_flag_with(key, value):
     return doc
 
 
+def _double_with_huge_incidence():
+    # entries of 2,201 digits: f(x) has more than int's 4,300-digit limit
+    doc = dump_complex(twisted_double_complex(), keep_flags=True)
+    big = str(10 ** 2200 + 1)
+    doc["decoration"]["data"][0][0].update(point=[big, "1", "0"],
+                                            line=[big, "0", "0"])
+    return doc
+
+
 def _double_with_face_123(literal):
     doc = dump_complex(twisted_double_complex())
     doc["decoration"]["data"][0]["faces"]["123"] = literal
@@ -681,6 +690,10 @@ INPUT_CHECKS = {
     "zero-flag-line": ("file", lambda: _cr_flag_with(
         "line", [[0.0, 0.0]] * 3), errors.DegenerateInput,
         "tetrahedron 0: flag line is the zero triple"),
+    "huge-broken-incidence": ("file", _double_with_huge_incidence,
+                              errors.DegenerateInput,
+                              "tetrahedron 0: flag incidence violated: "
+                              "f(x) = ~1.00000000000E+4400"),
     "zero-face": ("file", lambda: _double_with_face_123("0"),
                   errors.OutOfDomain,
                   "tetrahedron 0: face coordinate (1, 2, 3) is zero"),

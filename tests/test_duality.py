@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flagdual import (FormalSum, GaussRational, ProjPoint1, WCoords,
-                      beta_defect, beta_tetra, complete_from_minimal,
-                      cross_ratio, dual_coords_closed, dual_coords_matrix,
-                      edge_coords, eval_D, from_w, reconstruct, to_w,
-                      very_generic, veronese_tetrahedron)
+from flagdual import (Flag, FlagTuple, FormalSum, GaussRational, Mat3,
+                      ProjPoint1, WCoords, beta_complex, beta_defect,
+                      beta_tetra, bundled, complete_from_minimal, cross_ratio,
+                      delta_exact, dual_coords_closed, dual_coords_matrix,
+                      edge_coords, eval_D, from_w, reconstruct, scalars,
+                      to_w, very_generic, veronese_tetrahedron)
 from flagdual.duality import W_PAIRS, _dual_edge
 from flagdual.errors import NotVeryGeneric, WSingular
 from flagdual.projective import restrict_to_p1, vcross
@@ -51,6 +52,51 @@ def test_duality_is_an_involution_property(m):
 def test_closed_equals_matrix_property(m):
     c = _very_generic_coords(m)
     assert dual_coords_closed(c).same_as(dual_coords_matrix(reconstruct(m)))
+
+
+# each point and line rescaled by its own Gaussian rational, denominators
+# up to 10^6, after a projectivity that takes the points off the frame
+_SCALE_PART = st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6)
+_SCALE = st.builds(GaussRational, _SCALE_PART, _SCALE_PART).filter(bool)
+_SMALL = st.builds(GaussRational, st.fractions(-3, 3, max_denominator=3),
+                   st.fractions(-3, 3, max_denominator=3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_MINIMAL, st.lists(_SMALL, min_size=9, max_size=9),
+       st.lists(_SCALE, min_size=8, max_size=8))
+def test_measurements_ignore_the_representatives(m, entries, scales):
+    c = _very_generic_coords(m)
+    g = Mat3([entries[0:3], entries[3:6], entries[6:9]])
+    assume(g.det() != 0)
+    t = reconstruct(m).transformed(g)
+    scaled = FlagTuple([Flag(tuple(s * x for x in f.point),
+                             tuple(r * u for u in f.line))
+                        for f, s, r in zip(t, scales[:4], scales[4:])])
+    assert edge_coords(t).same_as(c)
+    assert edge_coords(scaled).same_as(c)
+    dual = dual_coords_closed(c)
+    assert dual_coords_matrix(t).same_as(dual)
+    assert dual_coords_matrix(scaled).same_as(dual)
+
+
+def test_exact_operation_reduces_at_most_half_as_often(monkeypatch):
+    # one operation of the exact_duality benchmark on a seeded
+    # tetrahedron; with every pairing and minor a Gaussian rational (the
+    # kernel before integral representatives) it made 1,474 reductions
+    reduced, calls = scalars._reduced, []
+    monkeypatch.setattr(scalars, "_reduced",
+                        lambda a, b, d: calls.append(1) or reduced(a, b, d))
+    m, c = rand_exact_tetra(random.Random(96))
+    t = reconstruct(m)
+    measured = edge_coords(t)
+    closed = dual_coords_closed(measured)
+    matrix = dual_coords_matrix(t)
+    twice = dual_coords_closed(closed)
+    wedge = delta_exact(beta_complex(bundled.twisted_double_complex(m)))
+    assert 0 < len(calls) <= 1474 // 2
+    assert measured.same_as(c) and closed.same_as(matrix)
+    assert twice.same_as(c) and wedge.is_zero()
 
 
 def test_closed_equals_matrix_with_huge_rationals():

@@ -1,6 +1,7 @@
 """Flags, genericity, normalization and the two geometric constructions."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,22 @@ def test_cr_flag_rejects_off_sphere():
         cr_flag((1 + 0j, 0j, 1 + 0j))
     with pytest.raises(NotOnSphere):
         cr_flag((GaussRational(1), GaussRational(1), GaussRational(1)))
+
+
+# an entry of 2,201 digits: its square is past int's 4,300-digit limit
+BIG = GaussRational(10 ** 2200 + 1)
+
+
+def test_huge_broken_incidence_is_named():
+    with pytest.raises(DegenerateInput, match=re.escape(
+            "flag incidence violated: f(x) = ~1.00000000000E+4400")):
+        Flag((BIG, 1, 0), (BIG, 0, 0))
+
+
+def test_huge_point_off_the_sphere_is_named():
+    with pytest.raises(NotOnSphere, match=re.escape(
+            "<x,x> = ~2.00000000000E+4400 != 0")):
+        cr_flag((BIG, 1, BIG))
 
 
 def _random_cr_tuple(rng):

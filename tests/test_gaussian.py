@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from flagdual import GaussRational, factor_gauss_int, factor_gaussian
 from flagdual.errors import Unsupported
-from flagdual.gaussian import _gi_mul, _gi_norm, exponent_vector, \
+from flagdual.gaussian import exponent_vector, gi_mul, gi_norm, \
     normalize_prime
 
 from helpers import rand_gauss_rational
@@ -34,7 +34,7 @@ def test_factor_five_splits():
     num, _ = factor_gaussian(GaussRational(5))
     primes = [p for p, _ in num.factors]
     assert len(primes) == 2
-    assert {_gi_norm(p) for p in primes} == {5}
+    assert {gi_norm(p) for p in primes} == {5}
     assert num.recompose() == (5, 0)
 
 
@@ -51,7 +51,7 @@ def test_normalize_prime_lands_in_first_quadrant():
         # p = i^k q
         v = q
         for _ in range(k):
-            v = _gi_mul(v, (0, 1))
+            v = gi_mul(v, (0, 1))
         assert v == p
 
 
@@ -86,10 +86,10 @@ def test_structured_products_factor_into_their_primes(unit, exponents):
     # multiply-back draws almost never reach
     z = (1, 0)
     for _ in range(unit):
-        z = _gi_mul(z, (0, 1))
+        z = gi_mul(z, (0, 1))
     for p, e in zip(_STRUCTURED_PRIMES, exponents):
         for _ in range(e):
-            z = _gi_mul(z, p)
+            z = gi_mul(z, p)
     f = factor_gauss_int(z)
     assert f.unit_pow == unit
     assert f.factors == tuple((p, e) for p, e in zip(_STRUCTURED_PRIMES,

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flagdual import (FormalSum, GaussRational, canonicalize_six, delta_exact,
-                      dilog_D, eval_D, five_term, prebloch, six_orbit)
+from flagdual import (FormalSum, GaussRational, beta_complex, bundled,
+                      canonicalize_six, delta_exact, dilog_D, eval_D,
+                      five_term, gaussian, prebloch, six_orbit)
 from flagdual.errors import BackendMismatch, OutOfDomain, Unsupported
 from flagdual.gaussian import prime_key
 from flagdual.prebloch import MERGE_TOL, _orbit_rep
 
-from helpers import delta_dense, dilog_quadrature, rand_gauss_rational
+from helpers import (delta_dense, dilog_quadrature, rand_exact_minimal,
+                     rand_gauss_rational)
 
 
 def test_dilog_vanishes_on_reals():
@@ -502,6 +504,26 @@ def test_delta_examples():
     assert len(ent) == 1
     (p, q, coeff) = ent[0]
     assert {p, q} == {(1, 1), (3, 0)} and abs(coeff) == 2
+
+
+def test_delta_factors_each_gaussian_integer_once(monkeypatch):
+    factor, seen = gaussian.factor_gauss_int, []
+    monkeypatch.setattr(gaussian, "factor_gauss_int",
+                        lambda z: seen.append(z) or factor(z))
+    rng = random.Random(91)
+    for _ in range(5):
+        s = beta_complex(bundled.twisted_double_complex(
+            rand_exact_minimal(rng)))
+        # z and 1 - z share their denominator: one factorization for both
+        parts = {(a, b) for g, _ in s.terms for z in (g, 1 - g)
+                 for a, b, _ in [z.integer_parts()]}
+        parts |= {(z.integer_parts()[2], 0) for g, _ in s.terms
+                  for z in (g, 1 - g)}
+        seen.clear()
+        delta_exact(s)
+        assert sorted(seen) == sorted(parts)
+        delta_exact(s)
+        assert len(seen) == 2 * len(parts)  # the memo outlives no call
 
 
 def test_delta_requires_exact():

@@ -5,15 +5,17 @@ import operator
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagdual import GaussRational, format_exact, parse_exact
+from flagdual import GaussRational, format_exact, parse_exact, scalars
 from flagdual.errors import BackendMismatch, ParseError
-from flagdual.scalars import (is_exact, nearly_equal, normalize_values,
+from flagdual.scalars import (describe, gauss_quotient, is_exact,
+                              nearly_equal, normalize_values,
                               scalar_from_json, scalar_to_json)
 
 from helpers import FractionPairGauss, rand_gauss_rational
@@ -256,3 +258,55 @@ def test_spaces_matter_only_between_digits(x, data):
         k = data.draw(st.sampled_from(splits))
         with pytest.raises(ParseError):
             parse_exact(text[:k] + " " + text[k:])
+
+
+# the operations with an int fast path, as (operator, int on the left)
+_INT_FAST = [(operator.add, False), (operator.add, True),
+             (operator.sub, False), (operator.sub, True),
+             (operator.mul, False), (operator.mul, True),
+             (operator.truediv, True)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PARTS, st.one_of(st.integers(-2 ** 70, 2 ** 70), st.booleans()),
+       st.sampled_from(_INT_FAST))
+def test_int_fast_paths_equal_the_generic_path(x, n, case):
+    op, int_left = case
+    x, generic = GaussRational(*x), GaussRational(n)
+    if int_left and op is operator.truediv and x == 0:
+        return
+    coerce, coerced = scalars._coerce, []
+    with mock.patch.object(scalars, "_coerce",
+                           lambda v: coerced.append(v) or coerce(v)):
+        got = op(n, x) if int_left else op(x, n)
+    want = op(generic, x) if int_left else op(x, generic)
+    assert got.integer_parts() == want.integer_parts()
+    # a bool is no int here: it takes the generic path, through _coerce
+    assert coerced == ([n] if type(n) is bool else [])
+
+
+def test_non_real_hash_reads_the_triple():
+    x = GaussRational(Fraction(3, 4), Fraction(-1, 2))
+    assert hash(x) == hash(x.integer_parts()) == hash(GaussRational(
+        Fraction(6, 8), Fraction(-2, 4)))
+
+
+def test_gauss_quotient_divides_gaussian_integers():
+    assert gauss_quotient((6, 4), (2, 0)) == GaussRational(3, 2)
+    assert gauss_quotient((6, 4), (-4, 0)) == GaussRational(
+        Fraction(-3, 2), -1)
+    assert gauss_quotient((1, 0), (0, 1)) == GaussRational(0, -1)
+    assert gauss_quotient((5, 0), (1, 2)) == GaussRational(1, -2)
+    with pytest.raises(ZeroDivisionError):
+        gauss_quotient((1, 1), (0, 0))
+
+
+def test_describe_clips_values_past_the_digit_limit():
+    assert describe(GaussRational(Fraction(1, 2), -3)) == "1/2-3*i"
+    assert describe(0.5 - 1j) == "(0.5-1j)"
+    big = GaussRational(10 ** 2200 + 1)
+    with pytest.raises(ValueError):
+        str(big * big)  # int's digit limit
+    assert describe(big * big) == "~1.00000000000E+4400"
+    assert describe(GaussRational(Fraction(-2, 3) * 10 ** 4400, 5)) == \
+        "~-6.66666666667E+4399+5*i"
