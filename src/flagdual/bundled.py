@@ -23,9 +23,9 @@ from fractions import Fraction
 from .complexes import (DecoratedComplex, Decoration, FacePairing,
                         IdealTriangulation)
 from .errors import MalformedPairing
-from .flags import FlagTuple, cr_tetrahedron, heisenberg_null_point
+from .flags import cr_tetrahedron, heisenberg_null_point
 from .scalars import GaussRational
-from .tetra import CANONICAL_FACES, complete_from_minimal, reconstruct
+from .tetra import CANONICAL_FACES, complete_from_minimal
 
 GEOMETRIC_SHAPE = cmath.exp(1j * math.pi / 3)
 
@@ -84,7 +84,8 @@ def cr_complex() -> DecoratedComplex:
 
 # -- exactly consistent closed complex ------------------------------------------
 
-_SWAP12 = {1: 2, 2: 1, 3: 3, 4: 4}
+# the transposition (1 2), as the images of the vertices 1, 2, 3, 4
+_SWAP12 = (2, 1, 3, 4)
 
 
 def twisted_double_triangulation() -> IdealTriangulation:
@@ -92,7 +93,7 @@ def twisted_double_triangulation() -> IdealTriangulation:
     swapping vertices 1 and 2 (the double of a simplex)."""
     pairings = []
     for face in CANONICAL_FACES:
-        image = tuple(_SWAP12[v] for v in face)
+        image = tuple(_SWAP12[v - 1] for v in face)
         pairings.append(FacePairing(0, face, 1, image))
     return IdealTriangulation(2, pairings)
 
@@ -100,21 +101,23 @@ def twisted_double_triangulation() -> IdealTriangulation:
 def twisted_double_complex(minimal=None) -> DecoratedComplex:
     """Closed complex whose decoration is consistent for ANY generic input.
 
-    Tetrahedron 1 carries the flags of tetrahedron 0 reordered by the
-    odd transposition (1 2); relabeling by an odd permutation inverts
-    and permutes the coordinates exactly as the gluing demands, so all
-    face and edge equations hold identically.  With exact minimal
-    coordinates the whole decoration is Gaussian-rational.
+    Tetrahedron 0 is completed from the minimal coordinates, and
+    tetrahedron 1 is its relabeling by the odd transposition (1 2),
+    TetraCoords.relabeled(_SWAP12): the coordinates of the same
+    flags with flags 1 and 2 swapped.  Relabeling by an odd permutation
+    inverts and permutes the coordinates exactly as the gluing demands,
+    so all face and edge equations hold identically.  With exact minimal
+    coordinates the whole decoration is Gaussian-rational.  The
+    decoration carries no flags.
     """
     if minimal is None:
         minimal = (GaussRational(Fraction(5, 3), Fraction(1, 2)),
                    GaussRational(Fraction(-2, 7)),
                    GaussRational(3, 1),
                    GaussRational(Fraction(1, 2), Fraction(-3, 4)))
-    t0 = reconstruct(minimal)
-    t1 = FlagTuple([t0[1], t0[0], t0[2], t0[3]])
+    c = complete_from_minimal(minimal)
     return DecoratedComplex(twisted_double_triangulation(),
-                            Decoration.from_flags([t0, t1]))
+                            Decoration([c, c.relabeled(_SWAP12)]))
 
 
 # -- scalable complexes -------------------------------------------------------

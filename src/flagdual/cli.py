@@ -31,7 +31,7 @@ from .complexes import (beta_complex, check_edges, check_faces,
                         volume_complex, worst_residual)
 from .errors import FlagdualError, ParseError
 from .prebloch import canonicalize_six, eval_D
-from .scalars import parse_exact
+from .scalars import digit_limit_error, parse_exact
 from .solver import solve_consistency
 from .tetra import volume_tetra
 from .tolerances import CHECK_TOL
@@ -145,6 +145,16 @@ def _cmd_check(args):
     return 2
 
 
+def _texts(*sums) -> list:
+    """The text form of each formal sum, all made before any is printed;
+    an exact generator past int's digit limit raises the Unsupported
+    that --json raises for it."""
+    try:
+        return [str(s) for s in sums]
+    except ValueError:  # the digit limit
+        raise digit_limit_error() from None
+
+
 def _cmd_beta(args):
     dc = _load(args)
     b = beta_complex(dc)
@@ -153,7 +163,8 @@ def _cmd_beta(args):
         print(json.dumps({"beta": fileio.sum_to_json(b), "D": d,
                           "volume": d / 4.0}))
     else:
-        print(f"beta(K,z) = {b}")
+        b_text, = _texts(b)
+        print(f"beta(K,z) = {b_text}")
         print(f"D(beta)   = {d!r}")
         print(f"Vol = D/4 = {d / 4.0!r}")
     return 0
@@ -184,8 +195,9 @@ def _cmd_defect(args):
             "D": d,
         }))
     else:
-        print(f"duality defect            = {raw}")
-        print(f"canonicalized             = {canon}")
+        raw_text, canon_text = _texts(raw, canon)
+        print(f"duality defect            = {raw_text}")
+        print(f"canonicalized             = {canon_text}")
         print(f"D(defect) = D(b) - D(b*)  = {d!r}")
     return 0
 

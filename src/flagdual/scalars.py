@@ -389,13 +389,19 @@ def parse_exact(s: str) -> GaussRational:
                          f"{sys.get_int_max_str_digits()} digits") from exc
 
 
+def digit_limit_error() -> Unsupported:
+    """The error for writing an exact part past int's digit limit, which
+    str() refuses and parse_exact would refuse to read back."""
+    return Unsupported("cannot write an exact part of more than "
+                       f"{sys.get_int_max_str_digits()} digits")
+
+
 def scalar_to_json(x):
     if is_exact(x):
         try:
             return format_exact(exactify(x))
-        except ValueError:  # the digit limit, which parse_exact would hit too
-            raise Unsupported("cannot write an exact part of more than "
-                              f"{sys.get_int_max_str_digits()} digits") from None
+        except ValueError:  # the digit limit
+            raise digit_limit_error() from None
     z = complex(x)
     return [z.real, z.imag]
 

@@ -16,11 +16,13 @@ TetraCoords validation and the solver read: EDGE_SHAPES gives each edge
 as a shape z, 1/(1-z) or 1-1/z of one minimal coordinate, FACE_EDGES the
 edges of each face relation, and CHART_FACTORS every ordered pair or
 triple as a signed product of shapes.  TetraCoords stores all 16 values;
-its constructor (used by the file loader and by edge_coords, which
-measures from flags.measurements) validates
-the relations, and derived values skip that check.  EVEN_COMPLETION and
-CANONICAL_FACES, the most error-prone convention, are quoted in the
-README.
+its constructor (used by the file loader and by float edge_coords, which
+measures from flags.measurements) validates the relations.  Derived
+values skip that check: complete_from_minimal, TetraCoords.relabeled
+(the coordinates of the same flags in another order, read off the
+chart) and exact edge_coords, whose faces come from its edges by
+FACE_EDGES.  EVEN_COMPLETION and CANONICAL_FACES, the most error-prone
+convention, are quoted in the README.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .errors import DegenerateInput, NotVeryGeneric, OutOfDomain
 from .flags import Flag, FlagTuple, cross_pairings, measurements
 from .gaussian import gi_mul
 from .prebloch import FormalSum, eval_D
-from .scalars import (check_domain, gauss_quotient, is_exact, nearly_equal,
-                      normalize_values)
+from .scalars import (GaussRational, check_domain, gauss_quotient, is_exact,
+                      nearly_equal, normalize_values)
 from .tolerances import VALIDATION_TOL, VERY_GENERIC_TOL
 
 VERTICES = (1, 2, 3, 4)
@@ -209,6 +211,23 @@ class TetraCoords:
             {k: v.conjugate() for k, v in self.edge.items()},
             {k: v.conjugate() for k, v in self.face.items()})
 
+    def relabeled(self, perm) -> "TetraCoords":
+        """The coordinates of the flags reordered by perm, a permutation
+        sigma of (1, 2, 3, 4): flag i of the new tuple is flag sigma(i).
+
+        From the chart alone: z'_ij = z_{sigma(i) sigma(j)}, inverted when
+        sigma is odd, and z'_f = face_value(sigma(f)) on each face f.
+        """
+        if sorted(perm) != list(VERTICES):
+            raise ValueError(f"not a permutation of (1, 2, 3, 4): {perm}")
+        s = dict(zip(VERTICES, perm))
+        edge = {(i, j): self.edge[s[i], s[j]] for i, j in EVEN_COMPLETION}
+        if perm_parity(perm) == -1:
+            edge = {k: 1 / v for k, v in edge.items()}
+        face = {f: self.face_value(*(s[v] for v in f))
+                for f in CANONICAL_FACES}
+        return TetraCoords._derived(edge, face)
+
     def same_as(self, other: "TetraCoords", tol=0.0) -> bool:
         """Exact equality, or closeness when a float tolerance is given."""
         for a, b in zip((*self.edge.values(), *self.face.values()),
@@ -242,12 +261,18 @@ def edge_coords(t: FlagTuple) -> TetraCoords:
     """Measure all 16 coordinates of a generic 4-flag tuple.
 
     Edge values use z_ij = f_i(x_k) det(x_i,x_j,x_l) / (f_i(x_l)
-    det(x_i,x_j,x_k)) with (i,j,k,l) even; face values are measured
-    independently as triple ratios, and the constructor's validation
-    cross-checks the two routes.  The pairings and minors come from
-    flags.measurements, which refuses a degenerate tuple.  On exact flags
-    they are Gaussian integers of the integral representatives, so each
-    value is one quotient, reduced once (scalars.gauss_quotient).
+    det(x_i,x_j,x_k)) with (i,j,k,l) even.  The pairings and minors come
+    from flags.measurements, which refuses a degenerate tuple.
+
+    On exact flags they are Gaussian integers of the integral
+    representatives, so each edge value is one quotient, reduced once
+    (scalars.gauss_quotient).  The vertex and face relations are then
+    identities, so the faces are derived from the edges by FACE_EDGES,
+    z_ijk = -z_il z_jl z_kl, and nothing is validated; the test suite
+    checks them against the triple ratios.  Float flags, which may come
+    ill-conditioned from a file, get their faces measured independently
+    as triple ratios, and the constructor's validation cross-checks the
+    two routes.
     """
     if len(t) != 4:
         raise DegenerateInput("edge_coords needs exactly four flags")
@@ -258,13 +283,16 @@ def edge_coords(t: FlagTuple) -> TetraCoords:
             a, b = gi_mul(pairings[i, k], minors[num])
             edges[i, j] = gauss_quotient((a, b) if s == r else (-a, -b),
                                          gi_mul(pairings[i, l], minors[den]))
-    else:
-        def det(key, sign):
-            return minors[key] if sign == 1 else -minors[key]
+        faces = {f: -(edges[a] * edges[b] * edges[c])
+                 for f, (a, b, c) in FACE_EDGES.items()}
+        return TetraCoords._derived(edges, faces)
 
-        edges = {(i, j): (pairings[(i, k)] * det(*num))
-                 / (pairings[(i, l)] * det(*den))
-                 for (i, j), (k, l, num, den) in _EDGE_MINORS.items()}
+    def det(key, sign):
+        return minors[key] if sign == 1 else -minors[key]
+
+    edges = {(i, j): (pairings[(i, k)] * det(*num))
+             / (pairings[(i, l)] * det(*den))
+             for (i, j), (k, l, num, den) in _EDGE_MINORS.items()}
     faces = {f: _triple(pairings, *f) for f in CANONICAL_FACES}
     return TetraCoords(edges, faces)
 
@@ -295,12 +323,16 @@ def reconstruct(m) -> FlagTuple:
     for name, z in zip(m._fields, m):
         check_domain(z, name)
     z12, z21, z34, z43 = m
+    # constants in the backend of m, so that each Flag's normalize_values
+    # finds its values settled on exact input
+    one, zero = (GaussRational(1), GaussRational(0)) if is_exact(z12) \
+        else (1, 0)
     a = 1 / (1 - z43)
     flags = [
-        Flag((1, 0, 0), (0, 1 - 1 / z12, -1)),
-        Flag((0, 1, 0), (1 - z21, 0, -1)),
-        Flag((0, 0, 1), (z34, -1, 0)),
-        Flag((1, 1, 1), (a, 1 - a, -1)),
+        Flag((one, zero, zero), (zero, 1 - 1 / z12, -one)),
+        Flag((zero, one, zero), (1 - z21, zero, -one)),
+        Flag((zero, zero, one), (z34, -one, zero)),
+        Flag((one, one, one), (a, 1 - a, -one)),
     ]
     return FlagTuple(flags)
 

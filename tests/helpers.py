@@ -7,11 +7,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from flagdual import (FlagTuple, GaussRational, Mat3, ProjPoint1, bundled,
-                      complete_from_minimal, dump_complex, reconstruct,
-                      very_generic)
+from flagdual import (DecoratedComplex, Decoration, FlagTuple, GaussRational,
+                      Mat3, ProjPoint1, bundled, complete_from_minimal,
+                      dump_complex, reconstruct, very_generic)
 from flagdual.complexes import FacePairing, IdealTriangulation
 from flagdual.gaussian import exponent_vector, prime_key
 from flagdual.projective import negligible, vcross
@@ -75,6 +76,18 @@ def rand_gauss_rational(rng, span=9, allow_real=True):
         q = GaussRational(re, im)
         if q != 0 and q != 1:
             return q
+
+
+# hypothesis strategies: minimal coordinates with parts of numerator and
+# denominator up to 9 (some in {0, 1}: callers assume them away), float
+# ones of modulus 0.2 to 5, and small Gaussian rationals for matrices
+_PART = st.fractions(-9, 9, max_denominator=9)
+EXACT_MINIMAL = st.tuples(*[st.builds(GaussRational, _PART, _PART)] * 4)
+FLOAT_MINIMAL = st.tuples(*[st.complex_numbers(
+    min_magnitude=0.2, max_magnitude=5, allow_nan=False,
+    allow_infinity=False)] * 4)
+SMALL_GAUSS = st.builds(GaussRational, st.fractions(-3, 3, max_denominator=3),
+                        st.fractions(-3, 3, max_denominator=3))
 
 
 def rand_exact_minimal(rng, span=9):
@@ -157,8 +170,9 @@ def rand_p1_points_exact(rng, count, span=9):
 
 
 def relabel_tuple(t: FlagTuple, perm) -> FlagTuple:
-    """FlagTuple with positions permuted: new[i] = old[perm[i]] (1-based)."""
-    return FlagTuple([t[perm[i] - 1] for i in (1, 2, 3, 4)])
+    """FlagTuple with positions permuted: flag i of the new tuple is flag
+    perm[i - 1] of t (1-based), as TetraCoords.relabeled(perm) reads it."""
+    return FlagTuple([t[v - 1] for v in perm])
 
 
 # -- oracles for projective scale and the solver's Jacobian --------------------
@@ -298,6 +312,21 @@ def flood_fill_edge_orbits(triangulation) -> list:
                     stack.append(other)
         orbits.append(tuple(sorted(orbit)))
     return orbits
+
+
+# -- a twisted double that carries its flags -----------------------------------
+
+def flagged_double(m=None) -> DecoratedComplex:
+    """The twisted double over m (default: the bundled one) measured from
+    flags: t0 = reconstruct(m), and t1 is t0 with flags 1 and 2 swapped.
+    dump_complex(..., keep_flags=True) writes it in flags mode, which
+    bundled.twisted_double_complex, built from coordinates, cannot give."""
+    if m is None:
+        m = bundled.twisted_double_complex().coords[0].minimal()
+    t0 = reconstruct(m)
+    t1 = FlagTuple([t0[1], t0[0], t0[2], t0[3]])
+    return DecoratedComplex(bundled.twisted_double_triangulation(),
+                            Decoration.from_flags([t0, t1]))
 
 
 # -- malformed input files --------------------------------------------------

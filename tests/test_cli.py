@@ -21,7 +21,8 @@ from flagdual.cli import main
 from flagdual import cli, errors
 from flagdual.errors import FlagdualError, ParseError
 
-from helpers import fuzz_documents, mutate_json
+from helpers import (EXACT_MINIMAL, FLOAT_MINIMAL, flagged_double,
+                     fuzz_documents, mutate_json)
 
 
 def run_cli(capsys, *argv):
@@ -65,13 +66,6 @@ def test_write_read_file(tmp_path):
         assert a.same_as(b, tol=0.0)
 
 
-_PART = st.fractions(-9, 9, max_denominator=9)
-_EXACT_MINIMAL = st.tuples(*[st.builds(GaussRational, _PART, _PART)] * 4)
-_FLOAT_MINIMAL = st.tuples(*[st.complex_numbers(
-    min_magnitude=0.2, max_magnitude=5, allow_nan=False,
-    allow_infinity=False)] * 4)
-
-
 def _scalars(dc, keep_flags):
     """Every coordinate, and every flag entry when the file keeps flags;
     floats as the hex of both parts, so equal means bit-identical."""
@@ -86,12 +80,13 @@ def _scalars(dc, keep_flags):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(_EXACT_MINIMAL, _FLOAT_MINIMAL), st.booleans())
+@given(st.one_of(EXACT_MINIMAL, FLOAT_MINIMAL), st.booleans())
 def test_file_round_trip_property(minimal, keep_flags):
     # dump -> JSON text -> load, on random exact and float decorations,
     # in coords and in flags mode
     try:
-        dc = twisted_double_complex(minimal)
+        dc = flagged_double(minimal) if keep_flags \
+            else twisted_double_complex(minimal)
     except FlagdualError:
         assume(False)
     text = json.dumps(dump_complex(dc, keep_flags))
@@ -336,7 +331,7 @@ def test_loader_errors_name_the_tetrahedron(tmp_path, capsys):
         1, 'error: decoration.data[1].faces: expected the keys '
            '["123", "243", "134", "142"], got ["123", "134", "142"]\n')
 
-    double = dump_complex(twisted_double_complex(), keep_flags=True)
+    double = dump_complex(flagged_double(), keep_flags=True)
     # still incident, but the first line now passes through x4
     double["decoration"]["data"][1][0]["line"] = ["1", "0", "-1"]
     assert check_fails(double) == (
@@ -351,14 +346,14 @@ def test_malformed_flag_records_are_parse_errors(tmp_path, capsys):
         code, _, err = run_cli(capsys, "check", str(f))
         return code, err
 
-    double = dump_complex(twisted_double_complex(), keep_flags=True)
+    double = dump_complex(flagged_double(), keep_flags=True)
     double["decoration"]["data"][1][2]["point"] = ["1", "0"]
     code, err = check_fails(double)
     assert code == 1
     assert err == ('error: decoration.data[1][2].point: expected a list of '
                    '3 scalars, got ["1", "0"]\n')
 
-    double = dump_complex(twisted_double_complex(), keep_flags=True)
+    double = dump_complex(flagged_double(), keep_flags=True)
     double["decoration"]["data"][1] = 5
     assert check_fails(double) == (
         1, "error: decoration.data[1]: expected a list of 4 flags, got 5\n")
@@ -571,6 +566,15 @@ def _double_dual_beyond_the_digit_limit():
         GaussRational(3, 2), GaussRational(5, 1))))).encode()
 
 
+def _flagged_double_with_huge_faces():
+    """A twisted double written as flags with 1,500-digit minimal parts:
+    its flags load, but its measured faces have about 4,500 digits."""
+    big = 10 ** 1499
+    dc = flagged_double((GaussRational(big + 1, 1), GaussRational(2 * big + 7),
+                         GaussRational(3, 2), GaussRational(5, 1)))
+    return json.dumps(dump_complex(dc, keep_flags=True)).encode()
+
+
 def _double_with_edge_12(literal):
     doc = dump_complex(twisted_double_complex())
     doc["decoration"]["data"][0]["edges"]["12"] = literal
@@ -585,6 +589,7 @@ CLI_INPUTS = {
     "latin1": lambda: b'{"t\xe9trahedra": 2}',
     "deep": lambda: b"[" * 100_000 + b"]" * 100_000,
     "long_dual": _double_dual_beyond_the_digit_limit,
+    "huge_faces": _flagged_double_with_huge_faces,
 }
 _CANNOT_READ = r"^error: cannot read \S+\.json: [^\n]+\n$"
 
@@ -630,6 +635,13 @@ CLI_PATHS = {
     "dual-beyond-the-digit-limit": (
         ["dualize", "{long_dual}", "-o", "{tmp}/out.json"], 2, r"^$",
         r"^error: cannot write an exact part of more than \d+ digits\n$"),
+    # text output names the same limit as --json, with nothing printed
+    "defect-text-beyond-the-digit-limit": (
+        ["defect", "{huge_faces}"], 2, r"^$",
+        r"^error: cannot write an exact part of more than \d+ digits\n$"),
+    "defect-json-beyond-the-digit-limit": (
+        ["defect", "{huge_faces}", "--json"], 2, r"^$",
+        r"^error: cannot write an exact part of more than \d+ digits\n$"),
 }
 
 
@@ -662,7 +674,7 @@ def _cr_flag_with(key, value):
 
 def _double_with_huge_incidence():
     # entries of 2,201 digits: f(x) has more than int's 4,300-digit limit
-    doc = dump_complex(twisted_double_complex(), keep_flags=True)
+    doc = dump_complex(flagged_double(), keep_flags=True)
     big = str(10 ** 2200 + 1)
     doc["decoration"]["data"][0][0].update(point=[big, "1", "0"],
                                             line=[big, "0", "0"])

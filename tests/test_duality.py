@@ -1,6 +1,7 @@
 """Duality: closed form vs matrix route, corollaries, w-coordinates."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,8 @@ from flagdual.errors import NotVeryGeneric, WSingular
 from flagdual.projective import restrict_to_p1, vcross
 from flagdual.tetra import CANONICAL_FACES, EVEN_COMPLETION
 
-from helpers import (rand_exact_flag_tetra, rand_exact_tetra, rand_float_tetra,
-                     rand_gauss_rational)
+from helpers import (SMALL_GAUSS, rand_exact_flag_tetra, rand_exact_tetra,
+                     rand_float_tetra, rand_gauss_rational)
 
 
 def test_closed_equals_matrix_exactly():
@@ -58,12 +59,10 @@ def test_closed_equals_matrix_property(m):
 # up to 10^6, after a projectivity that takes the points off the frame
 _SCALE_PART = st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6)
 _SCALE = st.builds(GaussRational, _SCALE_PART, _SCALE_PART).filter(bool)
-_SMALL = st.builds(GaussRational, st.fractions(-3, 3, max_denominator=3),
-                   st.fractions(-3, 3, max_denominator=3))
 
 
 @settings(max_examples=30, deadline=None)
-@given(_MINIMAL, st.lists(_SMALL, min_size=9, max_size=9),
+@given(_MINIMAL, st.lists(SMALL_GAUSS, min_size=9, max_size=9),
        st.lists(_SCALE, min_size=8, max_size=8))
 def test_measurements_ignore_the_representatives(m, entries, scales):
     c = _very_generic_coords(m)
@@ -83,18 +82,32 @@ def test_measurements_ignore_the_representatives(m, entries, scales):
 def test_exact_operation_reduces_at_most_half_as_often(monkeypatch):
     # one operation of the exact_duality benchmark on a seeded
     # tetrahedron; with every pairing and minor a Gaussian rational (the
-    # kernel before integral representatives) it made 1,474 reductions
+    # kernel before integral representatives) it made 1,474 reductions.
+    # It makes 203 now, bounded with 10 % headroom, and measures flags
+    # twice: the tuple and its dual; the twisted double is read off the
+    # chart, and exact faces are derived from the edges.
     reduced, calls = scalars._reduced, []
     monkeypatch.setattr(scalars, "_reduced",
                         lambda a, b, d: calls.append(1) or reduced(a, b, d))
+    measure, measured_tuples = edge_coords, []
+
+    def counted_edge_coords(t):
+        measured_tuples.append(t)
+        return measure(t)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("flagdual") \
+                and getattr(module, "edge_coords", None) is measure:
+            monkeypatch.setattr(module, "edge_coords", counted_edge_coords)
     m, c = rand_exact_tetra(random.Random(96))
     t = reconstruct(m)
-    measured = edge_coords(t)
+    measured = counted_edge_coords(t)
     closed = dual_coords_closed(measured)
     matrix = dual_coords_matrix(t)
     twice = dual_coords_closed(closed)
     wedge = delta_exact(beta_complex(bundled.twisted_double_complex(m)))
-    assert 0 < len(calls) <= 1474 // 2
+    assert 0 < len(calls) <= 225
+    assert len(measured_tuples) == 2
     assert measured.same_as(c) and closed.same_as(matrix)
     assert twice.same_as(c) and wedge.is_zero()
 

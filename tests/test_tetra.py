@@ -4,25 +4,31 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from flagdual import (Flag, GaussRational, MinimalCoords,
+from flagdual import (Flag, GaussRational, Mat3, MinimalCoords,
                       ProjPoint1, TetraCoords, beta_tetra,
                       complete_from_minimal, cross_ratio,
                       dual_coords_closed, edge_coords,
                       reconstruct, triple_ratio, very_generic,
                       veronese_tetrahedron, volume_tetra)
-from flagdual.errors import DegenerateInput, NotVeryGeneric, OutOfDomain
+from flagdual.errors import DegenerateInput, FlagdualError, NotVeryGeneric, \
+    OutOfDomain
 from flagdual.flags import normalize_to_standard
 from flagdual.projective import restrict_to_p1, vcross
 from flagdual.scalars import is_exact
 from flagdual.tetra import CANONICAL_FACES, CHART_FACTORS, EVEN_COMPLETION, \
     FACE_OPPOSITE, face_class, perm_parity
+from flagdual.tolerances import VALIDATION_TOL
 
-from helpers import (dilog_quadrature, proportional, rand_exact_flag_tetra,
+from helpers import (EXACT_MINIMAL, FLOAT_MINIMAL, SMALL_GAUSS,
+                     dilog_quadrature, proportional, rand_exact_flag_tetra,
                      rand_exact_minimal, rand_exact_tetra, rand_float_scalar,
-                     rand_gauss_rational)
+                     rand_gauss_rational, relabel_tuple)
 
 
 def test_even_completion_table_is_even():
@@ -276,7 +282,8 @@ def test_completion_rejects_derived_values_out_of_domain(z12, edge):
 def test_derived_coordinates_keep_the_stored_order():
     rng = random.Random(59)
     _, c = rand_exact_tetra(rng)
-    for d in (c, c.conjugate(), dual_coords_closed(c)):
+    for d in (c, c.conjugate(), dual_coords_closed(c),
+              c.relabeled((2, 1, 3, 4))):
         assert list(d.edge) == sorted(EVEN_COMPLETION)
         assert tuple(d.face) == CANONICAL_FACES
 
@@ -315,3 +322,53 @@ def test_minimal_coords_name_the_chart_edges():
     m = MinimalCoords(*c.minimal())
     assert m.z12 == c.edge_value(1, 2)
     assert m.z43 == c.edge_value(4, 3)
+
+
+# -- flag tuples measured afresh: relabeling and the derived faces -------------
+
+_PERMUTATIONS = tuple(permutations((1, 2, 3, 4)))
+
+
+def _generic_tuple(m, entries=None):
+    """reconstruct(m), moved by the projectivity of the nine entries when
+    given; a degenerate draw is assumed away."""
+    try:
+        t = reconstruct(m)
+        if entries is not None:
+            g = Mat3([entries[0:3], entries[3:6], entries[6:9]])
+            assume(g.det() != 0)
+            t = t.transformed(g)
+        return t, edge_coords(t)
+    except FlagdualError:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(EXACT_MINIMAL, FLOAT_MINIMAL))
+def test_relabeled_matches_the_permuted_flags(m):
+    # the flag route: measure the reordered tuple, for all 24 orders;
+    # exactly on exact flags, within VALIDATION_TOL on float ones
+    t, c = _generic_tuple(m)
+    tol = 0.0 if c.exact else VALIDATION_TOL
+    for perm in _PERMUTATIONS:
+        measured = edge_coords(relabel_tuple(t, perm))
+        assert measured.same_as(c.relabeled(perm), tol), perm
+
+
+def test_relabeled_refuses_a_non_permutation():
+    _, c = rand_exact_tetra(random.Random(60))
+    for perm in ((1, 2, 3), (1, 1, 3, 4), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            c.relabeled(perm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(EXACT_MINIMAL, st.lists(SMALL_GAUSS, min_size=9, max_size=9))
+def test_exact_edge_coords_faces_are_the_triple_ratios(m, entries):
+    # exact edge_coords derives its faces from its edges; measured
+    # independently as triple ratios they agree, and the validating
+    # constructor accepts the 16 values
+    t, c = _generic_tuple(m, entries)
+    for f in CANONICAL_FACES:
+        assert c.face[f] == triple_ratio(*(t[v - 1] for v in f)), f
+    assert TetraCoords(c.edge, c.face).same_as(c)
