@@ -36,7 +36,7 @@ from itertools import permutations
 
 from .duality import defect_pairs, dual_coords_closed
 from .errors import BackendMismatch, FlagdualError, MalformedPairing
-from .prebloch import FormalSum, eval_D
+from .prebloch import FormalSum, sum_D
 from .tetra import CANONICAL_FACES, EVEN_COMPLETION, VERTICES, edge_coords
 from .tolerances import CHECK_TOL
 
@@ -312,7 +312,10 @@ def beta_complex(dc: DecoratedComplex) -> FormalSum:
 
 
 def volume_complex(dc: DecoratedComplex) -> float:
-    return eval_D(beta_complex(dc)) / 4.0
+    """One quarter of D applied to beta: D summed over the minimal
+    coordinates, counted with multiplicity (prebloch.sum_D), so no
+    FormalSum is merged."""
+    return sum_D(z for c in dc.coords for z in c.minimal()) / 4.0
 
 
 def dualize(dc: DecoratedComplex) -> DecoratedComplex:

@@ -24,8 +24,8 @@ from .flags import FlagTuple, is_very_generic, normalize_to_standard
 from .prebloch import FormalSum
 from .scalars import normalize_values
 from .tetra import (CANONICAL_FACES, EVEN_COMPLETION, MINIMAL_EDGES,
-                    MinimalCoords, TetraCoords, complete_from_minimal,
-                    edge_coords, very_generic)
+                    MinimalCoords, TetraCoords, chart_edges, edge_coords,
+                    very_generic)
 
 
 def _dual_edge(c: TetraCoords, i, j):
@@ -40,15 +40,16 @@ def dual_coords_closed(c: TetraCoords) -> TetraCoords:
     """Dual coordinates by the closed formula alone.
 
     The formula gives the four minimal dual edges, the vertex relations
-    complete the other eight, and the faces invert.  That the completed
-    edges agree with the formula, and the completed faces with the
-    inverted ones, is checked by the test suite.
+    complete the other eight (tetra.chart_edges), and the faces invert.
+    That the completed edges agree with the formula, and the inverted
+    faces with the faces derived from them, is checked by the test
+    suite.
     """
     very_generic(c, require=True)
-    dual = complete_from_minimal(MinimalCoords(
+    edges = chart_edges(MinimalCoords(
         *(_dual_edge(c, *e) for e in MINIMAL_EDGES)))
     inv_faces = {key: 1 / c.face[key] for key in CANONICAL_FACES}
-    return TetraCoords._derived(dual.edge, inv_faces)
+    return TetraCoords._derived(edges, inv_faces)
 
 
 def dual_coords_matrix(t: FlagTuple) -> TetraCoords:

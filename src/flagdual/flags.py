@@ -32,14 +32,25 @@ class Flag:
             raise ValueError("flag needs two triples")
         both = normalize_values(point + line, "flag coordinates")
         point, line = both[:3], both[3:]
-        if all(c == 0 for c in point):
-            raise DegenerateInput("flag point is the zero triple")
-        if all(c == 0 for c in line):
-            raise DegenerateInput("flag line is the zero triple")
+        self._store(point, line)
         incidence = vdot(line, point)
         if not negligible(incidence, line, point):
             raise DegenerateInput(
                 f"flag incidence violated: f(x) = {describe(incidence)}")
+
+    @classmethod
+    def _incident(cls, point, line) -> "Flag":
+        """Triples the library derived, in one backend and incident by
+        construction: only the zero-triple checks run."""
+        flag = cls.__new__(cls)
+        flag._store(point, line)
+        return flag
+
+    def _store(self, point, line):
+        if all(c == 0 for c in point):
+            raise DegenerateInput("flag point is the zero triple")
+        if all(c == 0 for c in line):
+            raise DegenerateInput("flag line is the zero triple")
         self.point = point
         self.line = line
 
@@ -81,15 +92,17 @@ class FlagTuple:
     def transformed(self, m: Mat3) -> "FlagTuple":
         """Apply a projectivity: points by m, covectors by (m^T)^-1.  On
         exact flags the covectors go by its multiple adj(m^T), whose rows
-        are the cross products of the rows of m: no division."""
+        are the cross products of the rows of m: no division, and the
+        image flags are incident by construction, (adj(m^T) f)(m x) =
+        det(m) f(x) = 0, so their incidence is not recomputed."""
         if not (is_exact(m.rows[0][0]) and is_exact(self.flags[0].point[0])):
             minv_t = m.inverse().transpose()
             return FlagTuple([Flag(m.apply(f.point), minv_t.apply(f.line))
                               for f in self.flags])
         r1, r2, r3 = rows = integral_rows(m)
         adj = (gi_vcross(r2, r3), gi_vcross(r3, r1), gi_vcross(r1, r2))
-        return FlagTuple([Flag(_image(rows, integral(f.point)),
-                               _image(adj, integral(f.line)))
+        return FlagTuple([Flag._incident(_image(rows, integral(f.point)),
+                                         _image(adj, integral(f.line)))
                           for f in self.flags])
 
 

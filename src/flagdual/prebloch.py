@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -270,6 +271,15 @@ def eval_D(s: FormalSum) -> float:
     return math.fsum(n * dilog_D(g) for g, n in s.terms)
 
 
+def sum_D(generators) -> float:
+    """D summed over generators that check_domain has passed, counted with
+    multiplicity: n equal ones give one term n D(g), as in a FormalSum,
+    but nothing is merged with a near neighbour and no sum is built.  So
+    it equals eval_D of their FormalSum bit for bit unless two distinct
+    float generators lie within MERGE_TOL."""
+    return math.fsum(n * dilog_D(g) for g, n in Counter(generators).items())
+
+
 # -- relations ----------------------------------------------------------------
 
 def five_term(x, y) -> FormalSum:
@@ -305,14 +315,27 @@ def six_orbit(g):
 
 
 def _orbit_rep(orbit):
-    """Deterministic representative: minimal value in a fixed total order."""
+    """Deterministic representative: minimal value in a fixed total order,
+    on floats (modulus, phase, real part).
+
+    The float scan is that of min over those keys, but a phase is
+    computed only on an exact tie in modulus; a NaN modulus compares
+    neither below nor equal, as it does inside the key.
+    """
     if isinstance(orbit[0][0], GaussRational):
-        key = _sort_key
-    else:
-        def key(v):
-            # the phase; cmath.phase raises on a subnormal imaginary part
-            return (abs(v), math.atan2(v.imag, v.real), v.real)
-    return min(orbit, key=lambda t: key(t[0]))
+        return min(orbit, key=lambda t: _sort_key(t[0]))
+    best = orbit[0]
+    least = abs(best[0])
+    for t in orbit[1:]:
+        r = abs(t[0])
+        if r < least or r == least and _phase_key(t[0]) < _phase_key(best[0]):
+            best, least = t, r
+    return best
+
+
+def _phase_key(v):
+    # atan2, unlike cmath.phase, takes a subnormal imaginary part
+    return math.atan2(v.imag, v.real), v.real
 
 
 # the representatives of the exceptional orbit {-1, 2, 1/2}, exact and

@@ -11,11 +11,13 @@ boundary-oriented faces).  Four edge coordinates, the minimal chart
 * each face coordinate is minus the product of the three edge
   coordinates pointing at the opposite vertex, z_ijk = -z_il z_jl z_kl.
 
-The chart is stated once, in module tables that complete_from_minimal,
-TetraCoords validation and the solver read: EDGE_SHAPES gives each edge
-as a shape z, 1/(1-z) or 1-1/z of one minimal coordinate, FACE_EDGES the
-edges of each face relation, and CHART_FACTORS every ordered pair or
-triple as a signed product of shapes.  TetraCoords stores all 16 values;
+The chart is stated once, in module tables that chart_edges (the 12
+edges at given minimal coordinates, shared by complete_from_minimal and
+duality.dual_coords_closed), TetraCoords validation and the solver read:
+EDGE_SHAPES gives each edge as a shape z, 1/(1-z) or 1-1/z of one
+minimal coordinate, FACE_EDGES the edges of each face relation, and
+CHART_FACTORS every ordered pair or triple as a signed product of
+shapes.  TetraCoords stores all 16 values;
 its constructor (used by the file loader and by float edge_coords, which
 measures from flags.measurements) validates the relations.  Derived
 values skip that check: complete_from_minimal, TetraCoords.relabeled
@@ -34,7 +36,7 @@ from typing import NamedTuple
 from .errors import DegenerateInput, NotVeryGeneric, OutOfDomain
 from .flags import Flag, FlagTuple, cross_pairings, measurements
 from .gaussian import gi_mul
-from .prebloch import FormalSum, eval_D
+from .prebloch import FormalSum, sum_D
 from .scalars import (GaussRational, check_domain, gauss_quotient, is_exact,
                       nearly_equal, normalize_values)
 from .tolerances import VALIDATION_TOL, VERY_GENERIC_TOL
@@ -299,14 +301,21 @@ def edge_coords(t: FlagTuple) -> TetraCoords:
 
 # -- the minimal chart ---------------------------------------------------------
 
-def complete_from_minimal(m) -> TetraCoords:
-    """Fill all 16 coordinates from (z12, z21, z34, z43) by the chart
-    tables EDGE_SHAPES and FACE_EDGES."""
-    m = MinimalCoords(*normalize_values(tuple(m), "minimal coordinates"))
+def chart_edges(m: MinimalCoords) -> dict:
+    """The 12 edge coordinates at m, minimal coordinates in one backend,
+    by the chart table EDGE_SHAPES; OutOfDomain names a coordinate of m
+    at 0, 1 or infinity."""
     for name, z in zip(m._fields, m):
         check_domain(z, name)
     shapes = [_shapes(z) for z in m]
-    edges = {e: shapes[idx][shape] for e, (idx, shape) in EDGE_SHAPES.items()}
+    return {e: shapes[idx][shape] for e, (idx, shape) in EDGE_SHAPES.items()}
+
+
+def complete_from_minimal(m) -> TetraCoords:
+    """Fill all 16 coordinates from (z12, z21, z34, z43): the edges by
+    chart_edges, the faces from them by FACE_EDGES."""
+    edges = chart_edges(
+        MinimalCoords(*normalize_values(tuple(m), "minimal coordinates")))
     faces = {f: -(edges[a] * edges[b] * edges[c])
              for f, (a, b, c) in FACE_EDGES.items()}
     return TetraCoords._derived(edges, faces)
@@ -323,16 +332,19 @@ def reconstruct(m) -> FlagTuple:
     for name, z in zip(m._fields, m):
         check_domain(z, name)
     z12, z21, z34, z43 = m
-    # constants in the backend of m, so that each Flag's normalize_values
-    # finds its values settled on exact input
-    one, zero = (GaussRational(1), GaussRational(0)) if is_exact(z12) \
-        else (1, 0)
+    # exact flags are incident by construction, so Flag._incident builds
+    # them from GaussRational constants; float ones are checked, since
+    # a + (1 - a) - 1 need not round to 0
+    if is_exact(z12):
+        one, zero, flag = GaussRational(1), GaussRational(0), Flag._incident
+    else:
+        one, zero, flag = 1, 0, Flag
     a = 1 / (1 - z43)
     flags = [
-        Flag((one, zero, zero), (zero, 1 - 1 / z12, -one)),
-        Flag((zero, one, zero), (1 - z21, zero, -one)),
-        Flag((zero, zero, one), (z34, -one, zero)),
-        Flag((one, one, one), (a, 1 - a, -one)),
+        flag((one, zero, zero), (zero, 1 - 1 / z12, -one)),
+        flag((zero, one, zero), (1 - z21, zero, -one)),
+        flag((zero, zero, one), (z34, -one, zero)),
+        flag((one, one, one), (a, 1 - a, -one)),
     ]
     return FlagTuple(flags)
 
@@ -345,8 +357,9 @@ def beta_tetra(c: TetraCoords) -> FormalSum:
 
 
 def volume_tetra(c: TetraCoords) -> float:
-    """One quarter of D applied to beta."""
-    return eval_D(beta_tetra(c)) / 4.0
+    """One quarter of D applied to beta: D summed over the minimal
+    coordinates, counted with multiplicity (prebloch.sum_D)."""
+    return sum_D(c.minimal()) / 4.0
 
 
 def very_generic(c: TetraCoords, require=False) -> bool:

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,10 +25,12 @@ from flagdual.bundled import (GEOMETRIC_SHAPE, cr_complex, cyclic_cover,
                               twisted_double_triangulation)
 from flagdual import prebloch
 from flagdual.duality import beta_defect
-from flagdual.errors import MalformedPairing, NotVeryGeneric
+from flagdual.errors import MalformedPairing, NotVeryGeneric, OutOfDomain
+from flagdual.tetra import TetraCoords, volume_tetra
 
-from helpers import (classical_edge_products, flood_fill_edge_orbits,
-                     rand_exact_tetra, reversed_face_order_cover)
+from helpers import (EXACT_MINIMAL, FLOAT_MINIMAL, classical_edge_products,
+                     flood_fill_edge_orbits, rand_exact_tetra,
+                     reversed_face_order_cover)
 
 FIG8_VOLUME = 2.029883212819307
 
@@ -178,6 +181,71 @@ def test_empty_complex():
     assert beta_complex(dc).is_zero()
     assert volume_complex(dc) == 0.0
     assert check_faces(dc).passed() and check_edges(dc).passed()
+
+
+def _repeated_complex(tetrahedra):
+    """An unglued complex of each tetrahedron's coordinates, repeated."""
+    coords = []
+    for m, times in tetrahedra:
+        try:
+            coords += [complete_from_minimal(m)] * times
+        except OutOfDomain:
+            assume(False)
+    return DecoratedComplex(IdealTriangulation(len(coords), []),
+                            Decoration(coords))
+
+
+_REPEATED = st.integers(1, 11)
+
+
+def _assert_is_the_merged_route(volume, dc):
+    """volume is eval_D(beta)/4 bit for bit when no two distinct minimal
+    coordinates lie within MERGE_TOL, and within rounding of it when
+    some do (drawn ones do, as 1j and 5e-160+1j): Vol merges none."""
+    expected = eval_D(beta_complex(dc)) / 4
+    distinct = list(dict.fromkeys(z for c in dc.coords for z in c.minimal()))
+    if dc.decoration.exact or not any(
+            prebloch._close(a, b) for a, b in combinations(distinct, 2)):
+        assert volume.hex() == expected.hex()
+    else:
+        assert math.isclose(volume, expected, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.lists(st.tuples(FLOAT_MINIMAL, _REPEATED), min_size=2, max_size=5),
+    st.lists(st.tuples(EXACT_MINIMAL, _REPEATED), min_size=2, max_size=5)))
+def test_volume_is_a_quarter_of_D_of_beta_bit_for_bit(tetrahedra):
+    dc = _repeated_complex(tetrahedra)
+    _assert_is_the_merged_route(volume_complex(dc), dc)
+    first = dc.coords[0]
+    _assert_is_the_merged_route(volume_tetra(first), DecoratedComplex(
+        IdealTriangulation(1, []), Decoration([first])))
+
+
+def test_volume_merges_no_formal_sum(monkeypatch):
+    merge, calls = prebloch._merge_groups, []
+    monkeypatch.setattr(prebloch, "_merge_groups",
+                        lambda values: calls.append(1) or merge(values))
+    for dc in (lifted_cover(figure_eight_complex(), 4, (3, 5, 7, 11)),
+               twisted_double_complex(), cr_complex()):
+        volume_complex(dc)
+        for c in dc.coords:
+            volume_tetra(c)
+    assert not calls
+
+
+def test_dualize_stores_each_dual_tetrahedron_once(monkeypatch):
+    # its edges come from chart_edges and its faces are the inverted
+    # ones, so no completed TetraCoords is built on the way
+    store, calls = TetraCoords._store, []
+    monkeypatch.setattr(TetraCoords, "_store", lambda self, edge, face:
+                        calls.append(1) or store(self, edge, face))
+    for dc in (lifted_cover(figure_eight_complex(), 8, (3, 5, 7, 11)),
+               twisted_double_complex(), cr_complex()):
+        calls.clear()
+        dualize(dc)
+        assert len(calls) == dc.triangulation.n
 
 
 def test_dualize_figure_eight_is_identity():

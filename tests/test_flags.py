@@ -5,16 +5,21 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from flagdual import (Flag, FlagTuple, GaussRational, ProjPoint1, cr_flag,
-                      cr_tetrahedron, edge_coords,
+from flagdual import (Flag, FlagTuple, GaussRational, Mat3, ProjPoint1,
+                      cr_flag, cr_tetrahedron, dual_coords_closed,
+                      dual_coords_matrix, edge_coords,
                       heisenberg_null_point, hyperbolic_flag, is_generic,
-                      is_very_generic, normalize_to_standard,
+                      is_very_generic, normalize_to_standard, reconstruct,
                       veronese_tetrahedron)
 from flagdual.errors import DegenerateInput, NotOnSphere
+from flagdual.projective import vdot
 
-from helpers import (proportional, rand_exact_flag_tetra, rand_gauss_rational,
-                     rand_pgl3_exact)
+from helpers import (EXACT_MINIMAL, SMALL_GAUSS, proportional,
+                     rand_exact_flag_tetra, rand_exact_tetra,
+                     rand_float_tetra, rand_gauss_rational, rand_pgl3_exact)
 
 
 def standard_triple(z):
@@ -215,3 +220,53 @@ def test_heisenberg_points_are_null():
         y = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         p = heisenberg_null_point(y, rng.uniform(-2, 2))
         cr_flag(p)  # would raise NotOnSphere if the point were off the cone
+
+
+# -- flags incident by construction -------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(EXACT_MINIMAL, st.lists(SMALL_GAUSS, min_size=9, max_size=9))
+def test_flags_built_incident_pair_to_zero_exactly(m, entries):
+    # reconstruct and the exact transformed skip the incidence check:
+    # each flag they build must still satisfy f(x) = 0 exactly
+    assume(all(z != 0 and z != 1 for z in m))
+    t = reconstruct(m)
+    built = [t]
+    try:
+        built.append(t.transformed(
+            Mat3([entries[0:3], entries[3:6], entries[6:9]])))
+    except DegenerateInput:  # a singular matrix can send a point to zero
+        pass
+    dual = t.dual()
+    try:  # the route of dual_coords_matrix
+        built.append(dual.transformed(normalize_to_standard(dual)))
+    except DegenerateInput:  # three of the lines are concurrent
+        pass
+    for flag in (f for u in built for f in u):
+        assert vdot(flag.line, flag.point) == 0
+
+
+def test_exact_duality_builds_no_flag_through_the_checking_constructor(
+        monkeypatch):
+    init, calls = Flag.__init__, []
+    monkeypatch.setattr(Flag, "__init__", lambda self, point, line:
+                        calls.append(1) or init(self, point, line))
+    m, c = rand_exact_tetra(random.Random(97))
+    t = reconstruct(m)
+    assert dual_coords_matrix(t).same_as(dual_coords_closed(c))
+    assert not calls
+    # the public constructor and the float route keep the check
+    with pytest.raises(DegenerateInput, match="incidence"):
+        Flag(t[0].point, t[1].line)
+    float_tuple = reconstruct(rand_float_tetra(random.Random(98)).minimal())
+    assert len(calls) == 1 + 4
+    float_tuple.transformed(normalize_to_standard(float_tuple.dual()))
+    assert len(calls) == 1 + 4 + 4
+
+
+def test_exact_transform_by_a_singular_matrix_names_the_zero_point():
+    t, _ = rand_exact_flag_tetra(random.Random(99))
+    one, zero = GaussRational(1), GaussRational(0)
+    singular = Mat3([[zero, one, zero], [zero, zero, one], [zero, one, one]])
+    with pytest.raises(DegenerateInput, match="point is the zero triple"):
+        t.transformed(singular)  # it sends x1 = (1, 0, 0) to zero

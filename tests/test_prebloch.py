@@ -458,6 +458,59 @@ def test_canonicalize_merges_once(monkeypatch):
         assert len(calls) == 1
 
 
+def _orbit_rep_by_full_key(orbit):
+    """The float order with a phase for every member: min over (modulus,
+    phase, real part), the oracle for _orbit_rep's modulus-first scan."""
+    return min(orbit, key=lambda t: (abs(t[0]), math.atan2(t[0].imag,
+                                                          t[0].real),
+                                     t[0].real))
+
+
+# generators whose orbits tie in modulus exactly: on the unit circle z
+# and 1/z, on Re z = 1/2 z and 1 - z, and all six at exp(i pi/3)
+_TIED = st.one_of(
+    st.floats(-math.pi, math.pi).map(lambda a: cmath.exp(1j * a)),
+    st.floats(-4, 4).map(lambda y: complex(0.5, y)),
+    st.just(cmath.exp(1j * math.pi / 3)))
+# generators with a part near the ends of the float range: members
+# overflow to inf (subnormal parts) or turn NaN (1e308 + 1e308i)
+_EXTREME_PART = st.one_of(st.floats(-1e-300, 1e-300),
+                          st.floats(1e300, 1e308), st.floats(-1e308, -1e300),
+                          st.sampled_from([0.0, 0.5, 1.0]))
+_EXTREME = st.builds(complex, _EXTREME_PART, _EXTREME_PART)
+
+
+def _assert_orbit_rep_is_the_full_key_minimum(g):
+    orbit = six_orbit(g)
+    for k in range(6):  # every rotation: a NaN member also comes first
+        rotated = orbit[k:] + orbit[:k]
+        assert _orbit_rep(rotated) is _orbit_rep_by_full_key(rotated)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_TIED, _EXTREME))
+def test_float_orbit_rep_agrees_with_the_full_key(g):
+    assume(g != 0 and g != 1)
+    _assert_orbit_rep_is_the_full_key_minimum(g)
+
+
+def test_float_orbit_rep_cases_reach_ties_inf_and_nan():
+    tied = six_orbit(complex(0.5, 0.3))
+    moduli = [abs(v) for v, _ in tied]
+    assert moduli.count(min(moduli)) == 2  # 1/2 + 0.3i and 1/2 - 0.3i
+    assert _orbit_rep(tied)[0] == complex(0.5, -0.3)
+    overflowing = six_orbit(complex(5e-324, 1e-310))
+    assert any(math.isinf(abs(v)) for v, _ in overflowing)
+    nan_member = six_orbit(complex(1e308, 1e308))
+    assert any(math.isnan(abs(v)) for v, _ in nan_member)
+    rotated = nan_member[-1:] + nan_member[:-1]
+    assert math.isnan(abs(rotated[0][0]))
+    assert _orbit_rep(rotated) is rotated[0]  # nothing compares below NaN
+    for g in (complex(0.5, 0.3), cmath.exp(1j * math.pi / 3),
+              complex(5e-324, 1e-310), complex(1e308, 1e308)):
+        _assert_orbit_rep_is_the_full_key_minimum(g)
+
+
 def test_canonicalize_kills_relation_instances_mixed():
     rng = random.Random(86)
     for _ in range(30):
