@@ -29,9 +29,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BackendMismatch, OutOfDomain, Unsupported
+from .errors import OutOfDomain, Unsupported
 from .gaussian import exponent_vector, prime_key
-from .scalars import GaussRational, check_domain
+from .scalars import GaussRational, check_domain, normalize_values
 from .tolerances import MERGE_TOL
 
 # The float merge index is a hash grid.  Partners a, b satisfy
@@ -63,7 +63,8 @@ def _close(a: complex, b: complex) -> bool:
 
 
 def _merge_groups(values):
-    """Distinct generators of one backend, grouped as they merge.
+    """Distinct generators of one backend, grouped as they merge; each
+    group and the list of groups keep the order of values.
 
     Exact generators stay apart.  Float ones group into connected
     components under _close: each grid cell files its values by
@@ -120,37 +121,35 @@ def _merge_groups(values):
 class FormalSum:
     """Integer linear combination of generators in C\\{0,1}.
 
-    Generators are deduplicated on construction.  Exact generators merge
-    when equal.  Float generators (independently computed coordinates
-    produce near-duplicates) merge by connected components under the
-    relative distance MERGE_TOL, so the result does not depend on the
-    order of the input pairs; each component is represented by its least
-    member in the canonical order, and terms are kept in that order.
+    Generators are settled into one backend (plain ints and Fractions
+    are neutral) and deduplicated on construction.  Exact generators
+    merge when equal.  Float generators (independently computed
+    coordinates produce near-duplicates) merge by connected components
+    under the relative distance MERGE_TOL, so the result does not depend
+    on the order of the input pairs.  The distinct generators are sorted
+    once, in the canonical order, which the terms keep; each component
+    is represented by its first member, which is its least.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, pairs=()):
-        coeffs = {}  # generator -> coefficient; equal generators meet here
-        backend = None
+        gens, counts = [], []
         for g, n in pairs:
             if not isinstance(n, int):
                 raise TypeError(f"coefficient {n!r} is not an integer")
-            if n == 0:
-                continue
+            if n:
+                gens.append(g)
+                counts.append(n)
+        coeffs = {}  # generator -> coefficient; equal generators meet here
+        for g, n in zip(normalize_values(gens, "formal sum"), counts):
             g = check_domain(g, "formal-sum generator")
-            kind = isinstance(g, GaussRational)
-            if backend is None:
-                backend = kind
-            elif backend != kind:
-                raise BackendMismatch("mixed exact/float formal sum")
             coeffs[g] = coeffs.get(g, 0) + n
         merged = []
-        for group in _merge_groups(list(coeffs)):
+        for group in _merge_groups(sorted(coeffs, key=_sort_key)):
             n = sum(coeffs[g] for g in group)
             if n:
-                merged.append((min(group, key=_sort_key), n))
-        merged.sort(key=lambda t: _sort_key(t[0]))
+                merged.append((group[0], n))
         self.terms = tuple(merged)
 
     @classmethod
@@ -287,6 +286,7 @@ def five_term(x, y) -> FormalSum:
 
     Every evaluation of D on it vanishes; delta kills it exactly.
     """
+    x, y = normalize_values((x, y), "five_term arguments")
     for v in (x, y):
         check_domain(v, "five_term argument")
     try:
@@ -308,8 +308,11 @@ def six_orbit(g):
     """The orbit {z, 1/z, 1-z, 1/(1-z), 1-1/z, z/(z-1)} with signs.
 
     Signs track the parity of [g] relative to [z] under the relations
-    [1/z] = -[z] and [1-z] = -[z].
+    [1/z] = -[z] and [1-z] = -[z].  A plain int, Fraction or float g is
+    settled first, so the orbit lies in one backend.
     """
+    if not isinstance(g, (GaussRational, complex)):
+        g, = normalize_values((g,))
     vals = (g, 1 / g, 1 - g, 1 / (1 - g), 1 - 1 / g, g / (g - 1))
     return tuple(zip(vals, _ORBIT_SIGNS))
 

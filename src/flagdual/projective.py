@@ -162,8 +162,10 @@ def integral_rows(m):
     """The rows of an exact matrix times the common denominator of its
     entries, as Gaussian-integer triples: a multiple of m, so the same
     projectivity."""
-    den = math.lcm(*(c.integer_parts()[2] for r in m.rows for c in r))
-    return [tuple((c * den).integer_parts()[:2] for c in r) for r in m.rows]
+    rows = [[c.integer_parts() for c in r] for r in m.rows]
+    den = math.lcm(*(d for r in rows for _, _, d in r))
+    return [tuple((a * (den // d), b * (den // d)) for a, b, d in r)
+            for r in rows]
 
 
 def gi_vdot(u, x):

@@ -6,20 +6,22 @@ Two backends exist and are never mixed inside one expression:
   terms (d > 0, gcd(a, b, d) = 1) over one common denominator; all the
   polynomial identities of the coordinate geometry hold on the nose
   here.  ``re`` and ``im`` read the parts as ``fractions.Fraction``.
-  A product or quotient ends in one gcd (``_reduced``); adding or
+  A sum or product ends in one gcd (``_reduced``); adding or
   subtracting an int needs none, since gcd(a + n*d, b, d) = gcd(a, b, d).
-  The projective kernels work on Gaussian-integer representatives, with
-  no gcd per step, and turn each measured ratio into a scalar once, by
-  gauss_quotient.
+  A difference is the sum with the negation, and there is one quotient
+  formula, gauss_quotient of two Gaussian integers.  The projective
+  kernels work on Gaussian-integer representatives, with no gcd per
+  step, and turn each measured ratio into a scalar once, by it too.
 * float  -- plain binary64 ``complex``; used for dilogarithm volumes and
   the Newton solver.
 
 Plain ``int``/``Fraction`` values are exact in both backends and may mix
-freely into either.  Combining a :class:`GaussRational` with a ``complex``
-or ``float`` raises :class:`~flagdual.errors.BackendMismatch` instead of
-silently coercing.  Every scalar answers ``x == 0``, ``complex(x)`` and
-``x.conjugate()`` itself; :func:`nearly_equal` is the one equality test
-that spans both backends.
+freely into either; normalize_values settles them into the backend of
+the values beside them.  Combining a :class:`GaussRational` with a
+``complex`` or ``float`` raises :class:`~flagdual.errors.BackendMismatch`
+instead of silently coercing.  Every scalar answers ``x == 0``,
+``complex(x)`` and ``x.conjugate()`` itself; :func:`nearly_equal` is the
+one equality test that spans both backends.
 """
 
 from __future__ import annotations
@@ -81,9 +83,10 @@ class GaussRational:
     # -- ring operations ---------------------------------------------------
     #
     # Each operation takes a GaussRational operand as it is and sends any
-    # other through _coerce; each result ends in one gcd (_reduced).  An
-    # int (not a bool) added or subtracted keeps the result in lowest
-    # terms, gcd(a + n*d, b, d) = gcd(a, b, d) = 1, so it needs neither.
+    # other through _coerce; each result ends in one gcd (_reduced), a
+    # quotient's in gauss_quotient.  An int (not a bool) added or
+    # subtracted keeps the result in lowest terms, gcd(a + n*d, b, d) =
+    # gcd(a, b, d) = 1, so it needs neither.
 
     def __add__(self, other):
         if type(other) is int:
@@ -93,25 +96,17 @@ class GaussRational:
             if other is None:
                 return NotImplemented
         d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _reduced(self._a + other._a, self._b + other._b, d1)
         return _reduced(self._a * d2 + other._a * d1,
                         self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is int:
-            return _raw(self._a - other * self._d, self._b, self._d)
-        if not isinstance(other, GaussRational):
+        if type(other) is not int:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _reduced(self._a - other._a, self._b - other._b, d1)
-        return _reduced(self._a * d2 - other._a * d1,
-                        self._b * d2 - other._b * d1, d1 * d2)
+        return self + -other
 
     def __rsub__(self, other):
         if type(other) is int:
@@ -119,7 +114,7 @@ class GaussRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _subtract(other, self)
+        return other + -self
 
     def __mul__(self, other):
         if type(other) is int:
@@ -139,24 +134,17 @@ class GaussRational:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        a1, b1, a2, b2, d2 = self._a, self._b, other._a, other._b, other._d
-        if b2 == 0:  # a real divisor needs no norm
-            if a2 == 0:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            if a2 < 0:
-                a1, b1, a2 = -a1, -b1, -a2
-            return _reduced(a1 * d2, b1 * d2, self._d * a2)
-        # times d2 (a2 - b2 i) / (a2^2 + b2^2)
-        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
-                        self._d * (a2 * a2 + b2 * b2))
+        d1, d2 = self._d, other._d
+        return gauss_quotient((self._a * d2, self._b * d2),
+                              (other._a * d1, other._b * d1))
 
     def __rtruediv__(self, other):
         if type(other) is int:
-            return _divide(_raw(other, 0, 1), self)
+            return gauss_quotient((other * self._d, 0), (self._a, self._b))
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _divide(other, self)
+        return other / self
 
     def __neg__(self):
         return _raw(-self._a, -self._b, self._d)
@@ -206,11 +194,6 @@ class GaussRational:
 
     def __str__(self):
         return format_exact(self)
-
-
-# a reflected operation runs the forward one as a plain function, with
-# no second operator dispatch
-_subtract, _divide = GaussRational.__sub__, GaussRational.__truediv__
 
 
 def _ratio(n, d=1):
@@ -271,7 +254,7 @@ def gauss_quotient(num, den) -> GaussRational:
     (a, b), (c, d) = num, den
     if d == 0:  # a real divisor needs no norm
         if c == 0:
-            raise ZeroDivisionError("division by zero Gaussian integer")
+            raise ZeroDivisionError("division by zero")
         return _reduced(-a, -b, -c) if c < 0 else _reduced(a, b, c)
     return _reduced(a * c + b * d, b * c - a * d, c * c + d * d)
 
@@ -320,8 +303,10 @@ def normalize_values(values, what="scalars"):
     drift to float through true division.)
     """
     values = tuple(values)
-    if all(isinstance(v, GaussRational) for v in values):
-        return values  # already settled: nothing to convert
+    # already settled: all exact, or all complex (a subclass converts)
+    if all(isinstance(v, GaussRational) for v in values) or all(
+            type(v) is complex for v in values):
+        return values
     if any(isinstance(v, (complex, float)) for v in values):
         if any(isinstance(v, GaussRational) for v in values):
             raise BackendMismatch(f"mixed exact/float {what}")

@@ -178,6 +178,22 @@ def test_five_term_degenerate_arguments():
         five_term(GaussRational(2), GaussRational(2))
 
 
+def test_five_term_and_six_orbit_settle_plain_numbers():
+    exact = five_term(GaussRational(2), GaussRational(3))
+    assert five_term(2, 3).terms == exact.terms
+    assert delta_exact(five_term(2, 3)).is_zero()
+    assert five_term(GaussRational(3), 2).terms == five_term(
+        GaussRational(3), GaussRational(2)).terms
+    y = 0.5 + 0.3j
+    assert five_term(2, y).terms == five_term(2 + 0j, y).terms
+    assert abs(eval_D(five_term(2, y))) <= FIVE_TERM_TOL
+    for g in (2, Fraction(1, 3)):
+        orbit = six_orbit(g)
+        assert all(isinstance(v, GaussRational) for v, _ in orbit)
+        assert orbit == six_orbit(GaussRational(g))
+    assert six_orbit(2.0) == six_orbit(2 + 0j)
+
+
 def test_product_identity():
     # [ab] = [a] + [b] + [(1-a)/(1-1/b)] + [(1-b)/(1-1/a)] under D
     rng = random.Random(84)
@@ -209,8 +225,12 @@ def test_formal_sum_merging_and_domain():
         FormalSum([(GaussRational(0), 1)])
     with pytest.raises(OutOfDomain):
         FormalSum([(1 + 0j, 1)])
-    with pytest.raises(BackendMismatch):
-        FormalSum([(GaussRational(2), 1), (2.5 + 0j, 1)])
+    # a plain int beside both backends settles into neither
+    for pairs in ([(GaussRational(2), 1), (2.5 + 0j, 1)],
+                  [(0.5j, 1), (3, 2), (GaussRational(2), 1)]):
+        with pytest.raises(BackendMismatch,
+                           match="^mixed exact/float formal sum$"):
+            FormalSum(pairs)
 
 
 def test_formal_sum_float_merging():
@@ -349,6 +369,27 @@ def test_exact_merge_ignores_order(drawn, rng):
     assert dict(s.terms) == {g: n for g, n in totals.items() if n}
     assert canonicalize_six(FormalSum(shuffled)).terms == \
         canonicalize_six(s).terms
+
+
+_PLAIN_GENS = st.one_of(
+    st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5)).filter(
+    lambda q: q not in (0, 1))
+
+
+@pytest.mark.parametrize("gens", [_FLOAT_GENS, _EXACT_GENS],
+                         ids=["float", "exact"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_plain_generators_are_settled_into_the_sum(gens, data):
+    pairs = data.draw(st.lists(
+        st.tuples(st.one_of(gens, _PLAIN_GENS), st.integers(-3, 3).filter(
+            bool)), min_size=1, max_size=12))
+    shuffled = data.draw(st.permutations(pairs))
+    floats = any(isinstance(g, complex) for g, _ in pairs)
+    settled = [(g if isinstance(g, (complex, GaussRational))
+                else complex(g) if floats else GaussRational(g), n)
+               for g, n in pairs]
+    assert FormalSum(shuffled).terms == FormalSum(settled).terms
 
 
 def test_canonicalize_relations():

@@ -54,8 +54,14 @@ def test_mixed_backend_is_rejected_not_coerced():
 
 
 def test_zero_division_raises():
-    with pytest.raises(ZeroDivisionError):
-        GaussRational(1) / GaussRational(0)
+    # one quotient formula, so one message
+    for divide in (lambda: GaussRational(1) / GaussRational(0),
+                   lambda: GaussRational(1, 2) / 0,
+                   lambda: 1 / GaussRational(0),
+                   lambda: Fraction(1, 2) / GaussRational(0),
+                   lambda: gauss_quotient((1, 1), (0, 0))):
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+            divide()
 
 
 def test_format_parse_round_trip():
