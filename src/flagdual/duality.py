@@ -24,8 +24,7 @@ from .flags import FlagTuple, is_very_generic, normalize_to_standard
 from .prebloch import FormalSum
 from .scalars import normalize_values
 from .tetra import (CANONICAL_FACES, EVEN_COMPLETION, MINIMAL_EDGES,
-                    MinimalCoords, TetraCoords, chart_edges, edge_coords,
-                    very_generic)
+                    MinimalCoords, TetraCoords, edge_coords, very_generic)
 
 
 def _dual_edge(c: TetraCoords, i, j):
@@ -39,17 +38,15 @@ def _dual_edge(c: TetraCoords, i, j):
 def dual_coords_closed(c: TetraCoords) -> TetraCoords:
     """Dual coordinates by the closed formula alone.
 
-    The formula gives the four minimal dual edges, the vertex relations
-    complete the other eight (tetra.chart_edges), and the faces invert.
-    That the completed edges agree with the formula, and the inverted
-    faces with the faces derived from them, is checked by the test
-    suite.
+    The formula gives the four minimal dual edges, the chart the other
+    eight (TetraCoords._from_chart), and the faces invert.  That the
+    completed edges agree with the formula, and the inverted faces with
+    the faces derived from them, is checked by the test suite.
     """
     very_generic(c, require=True)
-    edges = chart_edges(MinimalCoords(
-        *(_dual_edge(c, *e) for e in MINIMAL_EDGES)))
-    inv_faces = {key: 1 / c.face[key] for key in CANONICAL_FACES}
-    return TetraCoords._derived(edges, inv_faces)
+    return TetraCoords._from_chart(
+        [_dual_edge(c, *e) for e in MINIMAL_EDGES],
+        {key: 1 / c.face[key] for key in CANONICAL_FACES})
 
 
 def dual_coords_matrix(t: FlagTuple) -> TetraCoords:

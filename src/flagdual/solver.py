@@ -185,7 +185,8 @@ def minimal_vector(dc: DecoratedComplex) -> np.ndarray:
 
 
 def complex_from_vector(dc: DecoratedComplex, m) -> DecoratedComplex:
-    coords = [complete_from_minimal(tuple(m[4 * t:4 * t + 4]))
+    values = m.tolist()  # plain complex, exactly: settled once here
+    coords = [complete_from_minimal(values[4 * t:4 * t + 4])
               for t in range(dc.triangulation.n)]
     return DecoratedComplex(dc.triangulation, Decoration(coords))
 

@@ -11,20 +11,16 @@ boundary-oriented faces).  Four edge coordinates, the minimal chart
 * each face coordinate is minus the product of the three edge
   coordinates pointing at the opposite vertex, z_ijk = -z_il z_jl z_kl.
 
-The chart is stated once, in module tables that chart_edges (the 12
-edges at given minimal coordinates, shared by complete_from_minimal and
-duality.dual_coords_closed), TetraCoords validation and the solver read:
-EDGE_SHAPES gives each edge as a shape z, 1/(1-z) or 1-1/z of one
-minimal coordinate, FACE_EDGES the edges of each face relation, and
-CHART_FACTORS every ordered pair or triple as a signed product of
-shapes.  TetraCoords stores all 16 values;
-its constructor (used by the file loader and by float edge_coords, which
-measures from flags.measurements) validates the relations.  Derived
-values skip that check: complete_from_minimal, TetraCoords.relabeled
-(the coordinates of the same flags in another order, read off the
-chart) and exact edge_coords, whose faces come from its edges by
-FACE_EDGES.  EVEN_COMPLETION and CANONICAL_FACES, the most error-prone
-convention, are quoted in the README.
+The chart is stated once, in module tables that TetraCoords and the
+solver read: EDGE_SHAPES gives each edge, in canonical key order, as a
+shape z, 1/(1-z) or 1-1/z of one minimal coordinate, FACE_EDGES the
+edges of each face relation, and CHART_FACTORS every ordered pair or
+triple as a signed product of shapes.  TetraCoords(edge, face), which
+the file loader and float edge_coords call, validates the relations;
+values the library derives are only domain-checked, each once (the
+chart of complete_from_minimal and duality.dual_coords_closed,
+relabeled, conjugate, exact edge_coords).  EVEN_COMPLETION and
+CANONICAL_FACES, the most error-prone convention, are in the README.
 """
 
 from __future__ import annotations
@@ -112,12 +108,17 @@ def _shapes(z):
     return z, 1 / (1 - z), 1 - 1 / z
 
 
-# (i, j) -> (index into MINIMAL_EDGES, shape), minimal edge by minimal
-# edge: (i, j) minimal is m itself, and (i, k), (i, l) with (i, j, k, l)
+# (i, j) -> (index into MINIMAL_EDGES, shape), in EVEN_COMPLETION key
+# order: (i, j) minimal is m itself, and (i, k), (i, l) with (i, j, k, l)
 # even carry 1/(1-m) and 1-1/m
-EDGE_SHAPES = {(i, v): (idx, shape)
-               for idx, (i, j) in enumerate(MINIMAL_EDGES)
-               for shape, v in enumerate((j, *EVEN_COMPLETION[(i, j)]))}
+EDGE_SHAPES = dict(sorted(
+    ((i, v), (idx, shape)) for idx, (i, j) in enumerate(MINIMAL_EDGES)
+    for shape, v in enumerate((j, *EVEN_COMPLETION[(i, j)]))))
+
+# (edge, its name in domain errors): all 12, and the 8 not minimal
+_EDGE_NAMES = tuple((e, f"edge coordinate z{e[0]}{e[1]}")
+                    for e in EVEN_COMPLETION)
+_SHAPE_EDGE_NAMES = tuple(p for p in _EDGE_NAMES if EDGE_SHAPES[p[0]][1] != ID)
 
 # canonical face -> its edges (i, l), (j, l), (k, l) into the opposite
 # vertex: z_ijk = -z_il z_jl z_kl
@@ -150,28 +151,40 @@ class TetraCoords:
         self._validate()
 
     @classmethod
-    def _derived(cls, edge, face) -> "TetraCoords":
-        """Values the library derived, in one backend and satisfying the
-        relations by construction: only the domain checks run."""
+    def _derived(cls, edge, face=None) -> "TetraCoords":
+        """Values the library derived, in one backend and canonical key
+        order, satisfying the relations (faces by FACE_EDGES if None)."""
         c = cls.__new__(cls)
         c._store(edge, face)
         return c
 
-    def _store(self, edge, face):
-        self.edge = {k: edge[k] for k in EVEN_COMPLETION}
-        self.face = {k: face[k] for k in CANONICAL_FACES}
-        for key, z in self.edge.items():
-            check_domain(z, f"edge coordinate z{key[0]}{key[1]}")
-        for key, z in self.face.items():
+    @classmethod
+    def _from_chart(cls, m, face=None) -> "TetraCoords":
+        """As _derived, from minimal coordinates m (8 edges left to check)."""
+        shapes = [_shapes(z) for z in _minimal(m)]
+        c = cls.__new__(cls)
+        c._store({e: shapes[idx][shape] for e, (idx, shape)
+                  in EDGE_SHAPES.items()}, face, _SHAPE_EDGE_NAMES)
+        return c
+
+    def _store(self, edge, face, unchecked=_EDGE_NAMES):
+        for key, name in unchecked:
+            check_domain(edge[key], name)
+        if face is None:
+            face = {f: -(edge[a] * edge[b] * edge[c])
+                    for f, (a, b, c) in FACE_EDGES.items()}
+        for key, z in face.items():
             if z == 0:
                 raise OutOfDomain(f"face coordinate {key} is zero")
+        self.edge, self.face = edge, face
 
     def _validate(self):
         e = self.edge
-        # vertex relations from each minimal edge, as complete_from_minimal
-        # derives them: from another edge, 1 - 1/z cancels at large |z|
+        # vertex relations minimal edge by minimal edge, derived as the
+        # chart does (from another edge, 1 - 1/z cancels at large |z|)
         shapes = [_shapes(e[m]) for m in MINIMAL_EDGES]
-        for (i, j), (idx, shape) in EDGE_SHAPES.items():
+        for (i, j), (idx, shape) in sorted(EDGE_SHAPES.items(),
+                                           key=lambda item: item[1]):
             if shape != ID and not nearly_equal(e[(i, j)], shapes[idx][shape],
                                                 VALIDATION_TOL):
                 a, b = MINIMAL_EDGES[idx]
@@ -285,9 +298,7 @@ def edge_coords(t: FlagTuple) -> TetraCoords:
             a, b = gi_mul(pairings[i, k], minors[num])
             edges[i, j] = gauss_quotient((a, b) if s == r else (-a, -b),
                                          gi_mul(pairings[i, l], minors[den]))
-        faces = {f: -(edges[a] * edges[b] * edges[c])
-                 for f, (a, b, c) in FACE_EDGES.items()}
-        return TetraCoords._derived(edges, faces)
+        return TetraCoords._derived(edges)
 
     def det(key, sign):
         return minors[key] if sign == 1 else -minors[key]
@@ -301,24 +312,17 @@ def edge_coords(t: FlagTuple) -> TetraCoords:
 
 # -- the minimal chart ---------------------------------------------------------
 
-def chart_edges(m: MinimalCoords) -> dict:
-    """The 12 edge coordinates at m, minimal coordinates in one backend,
-    by the chart table EDGE_SHAPES; OutOfDomain names a coordinate of m
-    at 0, 1 or infinity."""
+def _minimal(m) -> MinimalCoords:
+    """m in one backend, each value domain-checked by name ("z12")."""
+    m = MinimalCoords(*normalize_values(m, "minimal coordinates"))
     for name, z in zip(m._fields, m):
         check_domain(z, name)
-    shapes = [_shapes(z) for z in m]
-    return {e: shapes[idx][shape] for e, (idx, shape) in EDGE_SHAPES.items()}
+    return m
 
 
 def complete_from_minimal(m) -> TetraCoords:
-    """Fill all 16 coordinates from (z12, z21, z34, z43): the edges by
-    chart_edges, the faces from them by FACE_EDGES."""
-    edges = chart_edges(
-        MinimalCoords(*normalize_values(tuple(m), "minimal coordinates")))
-    faces = {f: -(edges[a] * edges[b] * edges[c])
-             for f, (a, b, c) in FACE_EDGES.items()}
-    return TetraCoords._derived(edges, faces)
+    """Fill all 16 coordinates from (z12, z21, z34, z43) by the chart."""
+    return TetraCoords._from_chart(m)
 
 
 def reconstruct(m) -> FlagTuple:
@@ -328,10 +332,7 @@ def reconstruct(m) -> FlagTuple:
     are the standard frame and the covectors are rational in the four
     coordinates.
     """
-    m = MinimalCoords(*normalize_values(tuple(m), "minimal coordinates"))
-    for name, z in zip(m._fields, m):
-        check_domain(z, name)
-    z12, z21, z34, z43 = m
+    z12, z21, z34, z43 = _minimal(m)
     # exact flags are incident by construction, so Flag._incident builds
     # them from GaussRational constants; float ones are checked, since
     # a + (1 - a) - 1 need not round to 0

@@ -236,11 +236,11 @@ def test_volume_merges_no_formal_sum(monkeypatch):
 
 
 def test_dualize_stores_each_dual_tetrahedron_once(monkeypatch):
-    # its edges come from chart_edges and its faces are the inverted
-    # ones, so no completed TetraCoords is built on the way
+    # its edges come from the chart and its faces are the inverted ones,
+    # so no completed TetraCoords is built on the way
     store, calls = TetraCoords._store, []
-    monkeypatch.setattr(TetraCoords, "_store", lambda self, edge, face:
-                        calls.append(1) or store(self, edge, face))
+    monkeypatch.setattr(TetraCoords, "_store", lambda self, *args:
+                        calls.append(1) or store(self, *args))
     for dc in (lifted_cover(figure_eight_complex(), 8, (3, 5, 7, 11)),
                twisted_double_complex(), cr_complex()):
         calls.clear()

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -16,19 +17,20 @@ from flagdual import (Flag, GaussRational, Mat3, MinimalCoords,
                       dual_coords_closed, edge_coords,
                       reconstruct, triple_ratio, very_generic,
                       veronese_tetrahedron, volume_tetra)
+from flagdual import duality, tetra
 from flagdual.errors import DegenerateInput, FlagdualError, NotVeryGeneric, \
     OutOfDomain
 from flagdual.flags import normalize_to_standard
 from flagdual.projective import restrict_to_p1, vcross
 from flagdual.scalars import is_exact
 from flagdual.tetra import CANONICAL_FACES, CHART_FACTORS, EVEN_COMPLETION, \
-    FACE_OPPOSITE, face_class, perm_parity
+    FACE_OPPOSITE, MINIMAL_EDGES, face_class, perm_parity
 from flagdual.tolerances import VALIDATION_TOL
 
 from helpers import (EXACT_MINIMAL, FLOAT_MINIMAL, SMALL_GAUSS,
                      dilog_quadrature, proportional, rand_exact_flag_tetra,
                      rand_exact_minimal, rand_exact_tetra, rand_float_scalar,
-                     rand_gauss_rational, relabel_tuple)
+                     rand_float_tetra, rand_gauss_rational, relabel_tuple)
 
 
 def test_even_completion_table_is_even():
@@ -279,11 +281,65 @@ def test_completion_rejects_derived_values_out_of_domain(z12, edge):
         complete_from_minimal((z12, 0.3 + 0.7j, 1.6 - 0.5j, 0.2 - 1.3j))
 
 
+@pytest.mark.parametrize("z12, message", [
+    (GaussRational(1), "z12 = 1 lies in {0,1}"),
+    (1e-320 + 0j, "edge coordinate z13 = (1+0j) lies in {0,1}")])
+def test_dual_completion_rejects_values_out_of_domain(monkeypatch, z12,
+                                                      message):
+    # the dual's minimal coordinates are refused by their own name, and
+    # an edge the chart derives from them (z13 = 1/(1-z12) rounds to 1)
+    # by the edge's name
+    rng = random.Random(61)
+    c = rand_exact_tetra(rng)[1] if isinstance(z12, GaussRational) else \
+        rand_float_tetra(rng)
+    dual_edge = duality._dual_edge
+    monkeypatch.setattr(duality, "_dual_edge", lambda c, i, j: z12 if (
+        i, j) == (1, 2) else dual_edge(c, i, j))
+    with pytest.raises(OutOfDomain, match=re.escape(message)):
+        dual_coords_closed(c)
+
+
+_ALL_EDGE_NAMES = [f"edge coordinate z{i}{j}" for i, j in EVEN_COMPLETION]
+
+
+def test_each_edge_is_domain_checked_once(monkeypatch):
+    # the chart checks the minimal coordinates by name, then only the 8
+    # edges it derives from them; the other derived paths check all 12
+    rng = random.Random(60)
+    t, c = rand_exact_flag_tetra(rng)
+    f = rand_float_tetra(rng)
+    names, check = [], tetra.check_domain
+    monkeypatch.setattr(tetra, "check_domain", lambda z, what:
+                        names.append(what) or check(z, what))
+    chart = list(MinimalCoords._fields) + [
+        f"edge coordinate z{i}{j}" for i, j in EVEN_COMPLETION
+        if (i, j) not in MINIMAL_EDGES]
+    for build, expected in (
+            (lambda: complete_from_minimal(c.minimal()), chart),
+            (lambda: complete_from_minimal(f.minimal()), chart),
+            (lambda: dual_coords_closed(c), chart),
+            (lambda: dual_coords_closed(f), chart),
+            (lambda: TetraCoords(c.edge, c.face), _ALL_EDGE_NAMES),
+            (lambda: TetraCoords(f.edge, f.face), _ALL_EDGE_NAMES),
+            (lambda: c.relabeled((2, 1, 3, 4)), _ALL_EDGE_NAMES),
+            (c.conjugate, _ALL_EDGE_NAMES),
+            (lambda: edge_coords(t), _ALL_EDGE_NAMES)):
+        names.clear()
+        build()
+        assert names == expected
+
+
 def test_derived_coordinates_keep_the_stored_order():
     rng = random.Random(59)
-    _, c = rand_exact_tetra(rng)
+    t, c = rand_exact_flag_tetra(rng)
+    f = rand_float_tetra(rng)
+    edges = list(c.edge.items())
+    rng.shuffle(edges)
+    shuffled = TetraCoords(dict(edges), dict(reversed(c.face.items())))
+    # c and f come from complete_from_minimal
     for d in (c, c.conjugate(), dual_coords_closed(c),
-              c.relabeled((2, 1, 3, 4))):
+              c.relabeled((2, 1, 3, 4)), f, dual_coords_closed(f),
+              edge_coords(t), shuffled):
         assert list(d.edge) == sorted(EVEN_COMPLETION)
         assert tuple(d.face) == CANONICAL_FACES
 
