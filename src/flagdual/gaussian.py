@@ -10,8 +10,12 @@ Rational primes split in Z[i] the usual way: 2 ramifies as -i (1+i)^2,
 p = 1 mod 4 splits into a conjugate pair, p = 3 mod 4 stays inert.  The
 primes over p are divided out at most as often as p^e in the norm allows:
 e times 1+i, e/2 times an inert p, e times in all for a split pair, so the
-conjugate takes exactly what the first prime left.  The integer
-factorizations of the norms are delegated to sympy.
+conjugate takes exactly what the first prime left.  A factorization
+context (a dict shared by the calls of one computation, see
+factor_gaussian) keeps the Gaussian primes over each rational prime met
+so far, so each new norm is divided by those primes first, with no
+square root of -1 and no Gaussian gcd; only norm cofactors whose primes
+are new to the context go to sympy's integer factorization.
 """
 
 from __future__ import annotations
@@ -51,10 +55,13 @@ def _gi_divmod(x, y):
 
 
 def _gi_divexact(x, y):
-    q, r = _gi_divmod(x, y)
-    if r != (0, 0):
+    """x / y when y divides x in Z[i], else None: x conj(y) / N(y)."""
+    n = gi_norm(y)
+    cr = x[0] * y[0] + x[1] * y[1]
+    ci = x[1] * y[0] - x[0] * y[1]
+    if cr % n or ci % n:
         return None
-    return q
+    return cr // n, ci // n
 
 
 def _gi_gcd(x, y):
@@ -114,34 +121,54 @@ def _sqrt_minus_one(p):
             return s
 
 
-def factor_gauss_int(z) -> GaussianFactorization:
-    """Factor a nonzero Gaussian integer (a, b) over Z[i]."""
+def _primes_over(p):
+    """The normalized Gaussian primes over a rational prime p: 1+i over 2,
+    p itself when p = 3 mod 4, and pi, conj(pi) when p = 1 mod 4."""
+    if p == 2:
+        return ((1, 1),)
+    if p % 4 == 3:
+        return ((p, 0),)
+    pi = _gi_gcd((p, 0), (_sqrt_minus_one(p), 1))
+    return (normalize_prime(pi)[0], normalize_prime((pi[0], -pi[1]))[0])
+
+
+def factor_gauss_int(z, memo=None) -> GaussianFactorization:
+    """Factor a nonzero Gaussian integer (a, b) over Z[i].
+
+    A dict passed as memo is a factorization context (see
+    factor_gaussian): the norm is divided first by the rational primes it
+    holds, whose Gaussian primes are read from it, and only a cofactor
+    greater than 1 goes to factorint; the primes that returns join it.
+    """
     if z == (0, 0):
         raise ZeroDivisionError("cannot factor zero")
-    unit = 0
+    memo = {} if memo is None else memo
+    rest, norm_primes = gi_norm(z), []
+    for p in memo:
+        if type(p) is int and rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest, e = rest // p, e + 1
+            norm_primes.append((p, e))
+    if rest > 1:
+        for p, e in factorint(rest).items():
+            memo[p] = _primes_over(p)
+            norm_primes.append((p, e))
     found = {}
-    for p, e in factorint(gi_norm(z)).items():
-        if p == 2:
-            over = ((1, 1),)
-        elif p % 4 == 3:
-            over, e = ((p, 0),), e // 2
-        else:
-            pi = _gi_gcd((p, 0), (_sqrt_minus_one(p), 1))
-            over = (pi, (pi[0], -pi[1]))
-        for cand in over:
+    for p, e in norm_primes:
+        if p % 4 == 3:
+            e //= 2
+        for prime in memo[p]:
             k = 0
-            while k < e and (q := _gi_divexact(z, cand)) is not None:
+            while k < e and (q := _gi_divexact(z, prime)) is not None:
                 z, k = q, k + 1
             if k:
                 e -= k
-                prime, u = normalize_prime(cand)
-                unit += u * k
                 found[prime] = k
     if z not in _UNITS:
         raise ArithmeticError(f"factorization left non-unit remainder {z}")
-    unit = (unit + _UNITS[z]) % 4
     factors = tuple(sorted(found.items(), key=lambda kv: prime_key(kv[0])))
-    return GaussianFactorization(unit, factors)
+    return GaussianFactorization(_UNITS[z], factors)
 
 
 def factor_gaussian(q, memo=None):
@@ -149,8 +176,14 @@ def factor_gaussian(q, memo=None):
 
     Returns (GaussianFactorization of the Gaussian-integer numerator,
     GaussianFactorization of the positive rational-integer denominator);
-    their quotient recomposes to the input.  A dict passed as memo keeps
-    each Gaussian integer's factorization for the calls that share it.
+    their quotient recomposes to the input.  A dict passed as memo is the
+    factorization context of the calls that share it, and lives only as
+    long as the caller keeps it: it holds each Gaussian integer's
+    factorization under its (a, b) pair, and each rational prime p met so
+    far under the int p, mapped to the normalized Gaussian primes over p
+    (1+i for 2, p itself when inert, pi and conj(pi) when p splits).  The
+    norm of each Gaussian integer not yet in it is divided by those primes
+    first; only a cofactor greater than 1 goes to sympy.
     """
     if not is_exact(q):
         raise Unsupported("factor_gaussian requires the exact backend")
@@ -161,13 +194,14 @@ def factor_gaussian(q, memo=None):
     memo = {} if memo is None else memo
     for z in ((a, b), (d, 0)):
         if z not in memo:
-            memo[z] = factor_gauss_int(z)
+            memo[z] = factor_gauss_int(z, memo)
     return memo[a, b], memo[d, 0]
 
 
 def exponent_vector(q, memo=None) -> dict:
     """Merged prime -> exponent map of an exact scalar (units dropped);
-    memo as for factor_gaussian."""
+    memo is a factorization context as for factor_gaussian, shared by the
+    calls that pass it and by nothing else."""
     fnum, fden = factor_gaussian(q, memo)
     vec = dict(fnum.factors)
     for p, e in fden.factors:

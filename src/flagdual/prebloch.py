@@ -401,21 +401,34 @@ def delta_exact(s: FormalSum) -> WedgeElement:
     """delta(sum n [z]) = sum n (z wedge (1-z)), computed mod torsion.
 
     Exact generators only.  Vanishing is necessary for the class to lie
-    in the Bloch group up to torsion; it is not sufficient.
+    in the Bloch group up to torsion; it is not sufficient.  All
+    generators z and 1 - z of the sum share one factorization context
+    (see gaussian.factor_gaussian), made for this call and dropped with
+    it: each Gaussian integer's factorization, and the Gaussian primes
+    over each rational prime met so far, which new norms are divided by
+    before anything goes to sympy.
     """
     coeffs = {}  # (p, q), p before q in prime_key order -> coefficient
-    memo = {}  # one factorization per Gaussian integer: z, 1 - z share d
+    memo = {}  # the factorization context of this call
+    keys = {}  # prime -> prime_key(prime), computed once per call
+
+    def keyed(vec):
+        for p in vec:
+            if p not in keys:
+                keys[p] = prime_key(p)
+        return [(keys[p], p, e) for p, e in vec.items()]
+
     for g, n in s.terms:
         if not isinstance(g, GaussRational):
             raise Unsupported("delta_exact requires exact generators")
-        u = exponent_vector(1 - g, memo)
-        for p, e in exponent_vector(g, memo).items():
-            for q, f in u.items():
+        u = keyed(exponent_vector(1 - g, memo))
+        for kp, p, e in keyed(exponent_vector(g, memo)):
+            for kq, q, f in u:
                 # p wedge p = 0, and q wedge p = -(p wedge q)
-                if prime_key(p) < prime_key(q):
+                if kp < kq:
                     coeffs[p, q] = coeffs.get((p, q), 0) + n * e * f
                 elif p != q:
                     coeffs[q, p] = coeffs.get((q, p), 0) - n * e * f
     terms = sorted(((p, q, c) for (p, q), c in coeffs.items() if c),
-                   key=lambda t: (prime_key(t[0]), prime_key(t[1])))
+                   key=lambda t: (keys[t[0]], keys[t[1]]))
     return WedgeElement(tuple(terms))

@@ -60,17 +60,18 @@ CGLS_MAX_ITER_FACTOR = 4
 class CooJacobian:
     """Sparse complex matrix as COO triplets: one entry per (row, column),
     sorted by row and then column, with an entry in every row and every
-    column."""
+    column.  Only data changes from step to step; the rest of the
+    sparsity is computed once (ConsistencySystem._sparsity) and passed in
+    as (row_start, by_col, col_start, rows_by_col): the first entry of
+    each row, the stable column order of the entries, the first entry of
+    each column in that order, and the rows in that order."""
 
-    def __init__(self, shape, rows, cols, data):
+    def __init__(self, shape, rows, cols, data, sparsity):
         self.shape = shape
         self.rows = rows
         self.cols = cols
         self.data = data
-        self._row_start = np.flatnonzero(np.diff(rows, prepend=-1))
-        by_col = np.argsort(cols, kind="stable")
-        self._col_start = np.flatnonzero(np.diff(cols[by_col], prepend=-1))
-        self._rows_by_col = rows[by_col]
+        self._row_start, by_col, self._col_start, self._rows_by_col = sparsity
         self._conj_by_col = np.conjugate(data[by_col])
 
     def toarray(self) -> np.ndarray:
@@ -98,10 +99,11 @@ class ConsistencySystem:
         self.products = triangulation.equations
         # the CHART_FACTORS signs of a row multiply to +1 (a face row
         # holds two face terms, an edge row none), so they are dropped
-        table = [(row, 4 * tet + idx, shape, power)
-                 for row, terms in enumerate(self.products)
-                 for tet, vertices in terms
-                 for idx, shape, power in CHART_FACTORS[vertices][1]]
+        table = []
+        for row, terms in enumerate(self.products):
+            for tet, vertices in terms:
+                for idx, shape, power in CHART_FACTORS[vertices][1]:
+                    table += (row, 4 * tet + idx, shape, power)
 
         # the factor table, sorted by row and then column; every row has
         # at least one factor (a face has six, an edge class a member)
@@ -122,6 +124,12 @@ class ConsistencySystem:
             np.diff(row, prepend=-1) | np.diff(col, prepend=-1))
         self._entry_row = row[self._entry_start]
         self._entry_col = col[self._entry_start]
+        # the Jacobian's sparsity, the same at every step (see CooJacobian)
+        by_col = np.argsort(self._entry_col, kind="stable")
+        self._sparsity = (
+            np.flatnonzero(np.diff(self._entry_row, prepend=-1)), by_col,
+            np.flatnonzero(np.diff(self._entry_col[by_col], prepend=-1)),
+            self._entry_row[by_col])
 
     def residuals_and_jacobian(self, m, want_jacobian=True):
         m = np.asarray(m, dtype=complex)
@@ -137,8 +145,9 @@ class ConsistencySystem:
         terms = self._power * dlog[self._shape_index]
         data = np.add.reduceat(terms, self._entry_start) \
             * prod[self._entry_row]
-        return prod - 1.0, CooJacobian((len(self.products), n),
-                                       self._entry_row, self._entry_col, data)
+        return prod - 1.0, CooJacobian(
+            (len(self.products), n), self._entry_row, self._entry_col, data,
+            self._sparsity)
 
     def residuals(self, m):
         return self.residuals_and_jacobian(m, want_jacobian=False)[0]

@@ -14,7 +14,7 @@ from flagdual import (DecoratedComplex, Decoration, FlagTuple, GaussRational,
                       Mat3, ProjPoint1, bundled, complete_from_minimal,
                       dump_complex, reconstruct, very_generic)
 from flagdual.complexes import FacePairing, IdealTriangulation
-from flagdual.gaussian import exponent_vector, prime_key
+from flagdual.gaussian import exponent_vector, gi_mul, prime_key
 from flagdual.projective import negligible, vcross
 from flagdual.scalars import is_exact
 
@@ -88,6 +88,37 @@ FLOAT_MINIMAL = st.tuples(*[st.complex_numbers(
     allow_infinity=False)] * 4)
 SMALL_GAUSS = st.builds(GaussRational, st.fractions(-3, 3, max_denominator=3),
                         st.fractions(-3, 3, max_denominator=3))
+
+
+# normalized primes in prime_key order: 1+i (ramified), the split pairs
+# over 5 and 13 (1+2i = i(2-i), 2+3i = i(3-2i)), the inert 3 and 7
+STRUCTURED_PRIMES = ((1, 1), (1, 2), (2, 1), (3, 0), (2, 3), (3, 2), (7, 0))
+
+
+def structured_product(unit, exponents):
+    """i^unit times the product of STRUCTURED_PRIMES to the exponents."""
+    z = (1, 0)
+    for _ in range(unit):
+        z = gi_mul(z, (0, 1))
+    for p, e in zip(STRUCTURED_PRIMES, exponents):
+        for _ in range(e):
+            z = gi_mul(z, p)
+    return z
+
+
+# quotients of two such products, the denominator times a rational
+# integer made of 2, 3, 5, 7 and 13 (the primes under STRUCTURED_PRIMES):
+# both members of a split pair, powers of 1+i up to 12, inert primes and
+# rational denominators that carry split primes, which random draws
+# almost never reach
+_STRUCTURED = st.builds(structured_product, st.integers(0, 3), st.tuples(
+    st.integers(0, 12), *[st.integers(0, 3)] * (len(STRUCTURED_PRIMES) - 1)))
+_RATIONAL = st.builds(
+    lambda e: math.prod(p ** k for p, k in zip((2, 3, 5, 7, 13), e)),
+    st.tuples(*[st.integers(0, 2)] * 5))
+STRUCTURED_SCALAR = st.builds(
+    lambda num, den, r: GaussRational(*num) / (GaussRational(*den) * r),
+    _STRUCTURED, _STRUCTURED, _RATIONAL).filter(lambda q: q != 1)
 
 
 def rand_exact_minimal(rng, span=9):

@@ -12,7 +12,8 @@ from flagdual.errors import Unsupported
 from flagdual.gaussian import exponent_vector, gi_mul, gi_norm, \
     normalize_prime
 
-from helpers import rand_gauss_rational
+from helpers import STRUCTURED_PRIMES, rand_gauss_rational, \
+    structured_product
 
 
 def test_factor_two_ramifies():
@@ -73,26 +74,16 @@ def test_multiply_back_oracle_random():
                 assert normalize_prime(p) == (p, 0)
 
 
-# normalized primes in prime_key order: 1+i (ramified), the split pairs
-# over 5 and 13 (1+2i = i(2-i), 2+3i = i(3-2i)), the inert 3 and 7
-_STRUCTURED_PRIMES = ((1, 1), (1, 2), (2, 1), (3, 0), (2, 3), (3, 2), (7, 0))
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 3),
-       st.tuples(*[st.integers(0, 5)] * len(_STRUCTURED_PRIMES)))
+       st.tuples(*[st.integers(0, 5)] * len(STRUCTURED_PRIMES)))
 def test_structured_products_factor_into_their_primes(unit, exponents):
     # repeated split pairs and high ramified powers, which random
     # multiply-back draws almost never reach
-    z = (1, 0)
-    for _ in range(unit):
-        z = gi_mul(z, (0, 1))
-    for p, e in zip(_STRUCTURED_PRIMES, exponents):
-        for _ in range(e):
-            z = gi_mul(z, p)
+    z = structured_product(unit, exponents)
     f = factor_gauss_int(z)
     assert f.unit_pow == unit
-    assert f.factors == tuple((p, e) for p, e in zip(_STRUCTURED_PRIMES,
+    assert f.factors == tuple((p, e) for p, e in zip(STRUCTURED_PRIMES,
                                                       exponents) if e)
 
 
