@@ -172,10 +172,6 @@ class EdgeClass:
     members: tuple  # (tet, i, j) triples
     reverse_members: tuple
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
 
 def per_tetrahedron(f, items) -> list:
     """[f(item) for item in items], a package error naming the

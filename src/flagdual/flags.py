@@ -154,17 +154,11 @@ def cross_pairings(t) -> dict:
     return _pairings(points, _kernel([f.line for f in t])[0], dot)
 
 
-def point_minors(t) -> dict:
-    """{(i, j, k): det(x_i, x_j, x_k)} for i < j < k, of the point
-    representatives (see cross_pairings); DegenerateInput names the first
-    three collinear points (on t.dual(), lines)."""
-    points, _, det = _kernel([f.point for f in t])
-    return _minors(points, det)
-
-
 def measurements(t):
-    """(cross_pairings(t), point_minors(t)), with each representative
-    made once."""
+    """(cross_pairings(t), minors): the minors {(i, j, k): det(x_i, x_j,
+    x_k)} for i < j < k of the same point representatives, each made
+    once; DegenerateInput names the first pairing that vanishes, else the
+    first three collinear points (on t.dual(), lines)."""
     points, dot, det = _kernel([f.point for f in t])
     lines = _kernel([f.line for f in t])[0]
     return _pairings(points, lines, dot), _minors(points, det)

@@ -152,10 +152,6 @@ class FormalSum:
                 merged.append((group[0], n))
         self.terms = tuple(merged)
 
-    @classmethod
-    def single(cls, g, n=1):
-        return cls([(g, n)])
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -259,7 +255,7 @@ def dilog_D(z) -> float:
         return 0.0
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         return 0.0
-    if z.imag == 0.0 or z == 0 or z == 1:
+    if z.imag == 0.0:
         return 0.0
     w = 1 - z  # atan2, unlike cmath.phase, takes a subnormal Im w
     return li2(z).imag + math.atan2(w.imag, w.real) * math.log(abs(z))
@@ -382,10 +378,6 @@ class WedgeElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def entries(self):
-        """The nonzero terms as (prime, prime, coefficient)."""
-        return list(self.terms)
 
     def __str__(self):
         if not self.terms:

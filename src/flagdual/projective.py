@@ -84,14 +84,6 @@ class ProjPoint1:
         self.a = a
         self.b = b
 
-    @classmethod
-    def affine(cls, value):
-        return cls(value, 1)
-
-    @classmethod
-    def infinity(cls):
-        return cls(1, 0)
-
     def same_point(self, other: "ProjPoint1") -> bool:
         p, q = balanced((self.a, self.b))[0], balanced((other.a, other.b))[0]
         return negligible(_minor(p, q), p, q)
@@ -206,15 +198,8 @@ class Mat3:
         self.rows = (flat[0:3], flat[3:6], flat[6:9])
 
     @classmethod
-    def identity(cls):
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-    @classmethod
     def from_columns(cls, c1, c2, c3):
         return cls(tuple(zip(c1, c2, c3)))
-
-    def det(self):
-        return det3(*self.columns())
 
     def columns(self):
         return tuple(zip(*self.rows))

@@ -93,7 +93,6 @@ class ConsistencySystem:
     """Residuals and analytic Jacobian of the face and edge equations."""
 
     def __init__(self, triangulation):
-        self.triangulation = triangulation
         self.n_unknowns = n = 4 * triangulation.n
         # one residual per row of the triangulation's gluing equations
         self.products = triangulation.equations

@@ -63,7 +63,7 @@ def _build_even_completion():
 # its sorted key order is that of TetraCoords.edge and of the file format
 EVEN_COMPLETION = _build_even_completion()
 
-# (i, j) -> (k, l, then (key in point_minors, sign) of minors ijl, ijk)
+# (i, j) -> (k, l, then (measurements' minor key, sign) of minors ijl, ijk)
 _EDGE_MINORS = {(i, j): (k, l, *((tuple(sorted(v)), perm_parity(v))
                                  for v in ((i, j, l), (i, j, k))))
                 for (i, j), (k, l) in EVEN_COMPLETION.items()}

@@ -15,7 +15,7 @@ from flagdual import (DecoratedComplex, Decoration, FlagTuple, GaussRational,
                       dump_complex, reconstruct, very_generic)
 from flagdual.complexes import FacePairing, IdealTriangulation
 from flagdual.gaussian import exponent_vector, gi_mul, prime_key
-from flagdual.projective import negligible, vcross
+from flagdual.projective import det3, negligible, vcross
 from flagdual.scalars import is_exact
 
 
@@ -181,7 +181,7 @@ def rand_pgl3_exact(rng, span=4):
                 for _ in range(3)]
         m = Mat3(rows)
         try:
-            if m.det() != 0:
+            if det3(*m.columns()) != 0:
                 return m
         except Exception:
             continue

@@ -228,7 +228,7 @@ def test_criterion_10_delta_necessary_condition():
         assert check_faces(tdc).passed() and check_edges(tdc).passed()
         assert delta_exact(__import__("flagdual").beta_complex(tdc)).is_zero()
 
-    d = delta_exact(FormalSum.single(GaussRational(Fraction(1, 3))))
+    d = delta_exact(FormalSum([(GaussRational(Fraction(1, 3)), 1)]))
     assert not d.is_zero()
     _ok(10, f"delta vanishes on 5-term sums and on beta of {len(corpus)} "
             f"exact consistent closed complexes; delta([1/3]) != 0")

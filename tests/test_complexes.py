@@ -53,7 +53,7 @@ def test_figure_eight_edge_classes():
     classes = k.edge_classes()
     assert len(classes) == 2
     for cls in classes:
-        assert cls.size == 6
+        assert len(cls.members) == 6
         assert len(cls.reverse_members) == 6
         # reversal really reverses
         rev = {(t, j, i) for (t, i, j) in cls.members}

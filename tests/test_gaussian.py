@@ -22,12 +22,14 @@ def test_factor_two_ramifies():
     assert num.factors == (((1, 1), 2),)
     assert num.unit_pow == 3  # 2 = i^3 (1+i)^2
     assert num.recompose() == (2, 0)
+    assert str(num) == "i^3 * (1+1i)^2"
 
 
 def test_factor_i_is_a_pure_unit():
     num, den = factor_gaussian(GaussRational(0, 1))
     assert num.factors == ()
     assert num.unit_pow == 1
+    assert str(num) == "i^1"
     assert den.recompose() == (1, 0)
 
 

@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flagdual import (DecoratedComplex, Decoration, canonicalize_six,
-                      check_edges, check_faces, complete_from_minimal,
-                      duality_defect, dualize, solve_consistency, solver,
-                      volume_complex)
+from flagdual import (DecoratedComplex, Decoration, IdealTriangulation,
+                      canonicalize_six, check_edges, check_faces,
+                      complete_from_minimal, duality_defect, dualize,
+                      solve_consistency, solver, volume_complex,
+                      write_complex)
+from flagdual.cli import main
 from flagdual.bundled import (GEOMETRIC_SHAPE, cyclic_cover,
                               figure_eight_complex,
                               figure_eight_triangulation, lifted_cover,
@@ -20,11 +22,12 @@ from flagdual.bundled import (GEOMETRIC_SHAPE, cyclic_cover,
                               twisted_double_complex,
                               twisted_double_triangulation)
 from flagdual.errors import LeftDomain, SolverDiverged, Unsupported
+from flagdual.prebloch import _orbit_rep, six_orbit
 from flagdual.solver import (DENSE_MAX_UNKNOWNS, ConsistencySystem, cgls,
                              complex_from_vector, forcing_term,
                              minimal_vector)
 from flagdual.tetra import C1, C2, CHART_FACTORS, ID
-from flagdual.tolerances import CGLS_RTOL, CGLS_RTOL_MAX
+from flagdual.tolerances import CGLS_RTOL, CGLS_RTOL_MAX, MERGE_TOL
 
 from helpers import finite_difference_jacobian, reversed_face_order_cover
 
@@ -110,6 +113,31 @@ def test_already_consistent_float_zero_iterations():
     result = solve_consistency(dc)
     assert result.iterations == 0
     assert result.decorated is dc
+    empty = DecoratedComplex(IdealTriangulation(0, []), Decoration([]))
+    result = solve_consistency(empty)
+    assert (result.iterations, result.residual) == (0, 0.0)
+    assert result.decorated is empty
+
+
+@pytest.mark.parametrize("name, value, error, message", [
+    ("MAX_ITER", 1, SolverDiverged, "no convergence within 1 iterations"),
+    ("DOMAIN_RADIUS", 1e300, LeftDomain,
+     "Newton step driven into the disks around 0 or 1"),
+])
+def test_solver_failure_raises_and_exits_3(name, value, error, message,
+                                           monkeypatch, tmp_path, capsys):
+    # one iteration does not reach 1e-12 from 1e-3 away; with a domain
+    # radius of 1e300 every trial step is refused
+    _, start = _perturbed_figure_eight()
+    monkeypatch.setattr(solver, name, value)
+    with pytest.raises(error) as info:
+        solve_consistency(start)
+    assert str(info.value).startswith(f"{message} (residual ")
+    if error is SolverDiverged:
+        assert info.value.residual > 1e-12
+    write_complex(tmp_path / "start.json", start)
+    assert main(["solve", str(tmp_path / "start.json")]) == 3
+    assert capsys.readouterr() == ("", f"error: {info.value}\n")
 
 
 def test_jacobian_matches_central_differences():
@@ -324,3 +352,36 @@ def test_solving_a_cover_imports_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("k, voltages", enumerate(
+    ((1, 0, 0, 0), (1, 1, 0, 0), (3, 5, 7, 11))))
+def test_cover_defect_cancels_with_a_margin(k, voltages):
+    """The seed-7 cover_pipeline covers, solved at tol 1e-12: the
+    canonical duality defect is zero, and not by a near thing.  Each
+    orbit representative of the defect's terms meets its partner well
+    inside the merge distance MERGE_TOL (1 + |a| + |b|), and no third
+    representative and no 1/2 (the exceptional orbit) is anywhere near,
+    so the zero does not hang on rounding.  A solve that lands only just
+    below its tolerance leaves pairs near the merge distance."""
+    lift = lifted_cover(figure_eight_complex(), 64, voltages)
+    m = minimal_vector(lift)
+    # the perturbation of perfbench's workloads.perturbed
+    rng = np.random.default_rng([7, k])
+    m = m + 1e-3 * (rng.standard_normal(m.size)
+                    + 1j * rng.standard_normal(m.size))
+    solved = solve_consistency(complex_from_vector(lift, m),
+                               tol=1e-12).decorated
+    raw = duality_defect(solved)
+    assert canonicalize_six(raw).is_zero()
+    reps = np.array([complex(_orbit_rep(six_orbit(g))[0])
+                     for g, _ in raw.terms])
+    size = np.abs(reps)
+    # distances in merge distances, nearest first
+    ratio = np.abs(reps[:, None] - reps) \
+        / (MERGE_TOL * (1 + size[:, None] + size))
+    np.fill_diagonal(ratio, np.inf)
+    ratio.sort(axis=1)
+    assert ratio[:, 0].max() <= 0.1
+    assert ratio[:, 1].min() > 100
+    assert np.min(np.abs(reps - 0.5) / (MERGE_TOL * (1.5 + size))) > 100
