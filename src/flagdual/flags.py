@@ -13,10 +13,9 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DegenerateInput, NotOnSphere
-from .gaussian import gi_mul
 from .projective import (Mat3, ProjPoint1, balanced, det3, gi_det3, gi_vcross,
                          gi_vdot, integral, integral_rows, negligible, vdot)
-from .scalars import (GaussRational, describe, exactify, is_exact,
+from .scalars import (GaussRational, describe, exactify, gi_mul, is_exact,
                       normalize_values)
 
 

@@ -1,5 +1,10 @@
 """Exact factorization of Gaussian rationals over Z[i].
 
+Gaussian integers are the (a, b) int pairs of scalars, which holds
+their arithmetic (gi_mul, gi_norm, format_gauss_int); this module adds
+factorization alone.  It is the one that loads sympy, and within the
+package only prebloch's delta imports it.
+
 Every nonzero Gaussian integer factors uniquely (up to units 1, i, -1, -i)
 into Gaussian primes.  We normalize each prime within its associate class
 to the representative in the closed first quadrant, a > 0, b >= 0, which
@@ -26,20 +31,7 @@ from itertools import count
 from sympy import factorint
 
 from .errors import Unsupported
-from .scalars import exactify, is_exact
-
-# Gaussian integers are bare (a, b) int pairs throughout this module, and
-# in the exact projective kernels, which share its two ring operations.
-
-
-def gi_mul(x, y):
-    """The product of two Gaussian integers."""
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def gi_norm(x):
-    """The norm a^2 + b^2 of a Gaussian integer (a, b)."""
-    return x[0] * x[0] + x[1] * x[1]
+from .scalars import exactify, format_gauss_int, gi_mul, gi_norm, is_exact
 
 
 def _gi_divmod(x, y):
@@ -101,8 +93,8 @@ class GaussianFactorization:
 
     def __str__(self):
         parts = [f"i^{self.unit_pow % 4}"] if self.unit_pow % 4 else []
-        for (a, b), e in self.factors:
-            s = f"({a}{'+' if b >= 0 else '-'}{abs(b)}i)"
+        for p, e in self.factors:
+            s = format_gauss_int(p)
             parts.append(s if e == 1 else f"{s}^{e}")
         return " * ".join(parts) if parts else "1"
 

@@ -31,7 +31,8 @@ from fractions import Fraction
 
 from .errors import OutOfDomain, Unsupported
 from .gaussian import exponent_vector, prime_key
-from .scalars import GaussRational, check_domain, normalize_values
+from .scalars import (GaussRational, check_domain, format_gauss_int,
+                      normalize_values)
 from .tolerances import MERGE_TOL
 
 # The float merge index is a hash grid.  Partners a, b satisfy
@@ -382,11 +383,8 @@ class WedgeElement:
     def __str__(self):
         if not self.terms:
             return "0"
-
-        def pstr(p):
-            return f"({p[0]}{'+' if p[1] >= 0 else '-'}{abs(p[1])}i)"
-
-        return " + ".join(f"{c}*{pstr(p)}^{pstr(q)}" for p, q, c in self.terms)
+        return " + ".join(f"{c}*{format_gauss_int(p)}^{format_gauss_int(q)}"
+                          for p, q, c in self.terms)
 
 
 def delta_exact(s: FormalSum) -> WedgeElement:
@@ -402,19 +400,13 @@ def delta_exact(s: FormalSum) -> WedgeElement:
     """
     coeffs = {}  # (p, q), p before q in prime_key order -> coefficient
     memo = {}  # the factorization context of this call
-    keys = {}  # prime -> prime_key(prime), computed once per call
-
-    def keyed(vec):
-        for p in vec:
-            if p not in keys:
-                keys[p] = prime_key(p)
-        return [(keys[p], p, e) for p, e in vec.items()]
-
     for g, n in s.terms:
         if not isinstance(g, GaussRational):
             raise Unsupported("delta_exact requires exact generators")
-        u = keyed(exponent_vector(1 - g, memo))
-        for kp, p, e in keyed(exponent_vector(g, memo)):
+        u = [(prime_key(q), q, f)
+             for q, f in exponent_vector(1 - g, memo).items()]
+        for p, e in exponent_vector(g, memo).items():
+            kp = prime_key(p)
             for kq, q, f in u:
                 # p wedge p = 0, and q wedge p = -(p wedge q)
                 if kp < kq:
@@ -422,5 +414,5 @@ def delta_exact(s: FormalSum) -> WedgeElement:
                 elif p != q:
                     coeffs[q, p] = coeffs.get((q, p), 0) - n * e * f
     terms = sorted(((p, q, c) for (p, q), c in coeffs.items() if c),
-                   key=lambda t: (keys[t[0]], keys[t[1]]))
+                   key=lambda t: (prime_key(t[0]), prime_key(t[1])))
     return WedgeElement(tuple(terms))

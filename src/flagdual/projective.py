@@ -24,8 +24,7 @@ import cmath
 import math
 
 from .errors import DegenerateInput, SingularMatrix
-from .gaussian import gi_mul
-from .scalars import exactify, is_exact, normalize_values
+from .scalars import exactify, gi_mul, is_exact, normalize_values
 from .tolerances import DEGENERACY_TOL
 
 

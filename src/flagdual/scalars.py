@@ -9,9 +9,12 @@ Two backends exist and are never mixed inside one expression:
   A sum or product ends in one gcd (``_reduced``); adding or
   subtracting an int needs none, since gcd(a + n*d, b, d) = gcd(a, b, d).
   A difference is the sum with the negation, and there is one quotient
-  formula, gauss_quotient of two Gaussian integers.  The projective
-  kernels work on Gaussian-integer representatives, with no gcd per
-  step, and turn each measured ratio into a scalar once, by it too.
+  formula, gauss_quotient of two Gaussian integers.  Those are bare
+  (a, b) int pairs, whose product, norm and text (gi_mul, gi_norm,
+  format_gauss_int) are defined here once: the projective kernels work
+  on Gaussian-integer representatives, with no gcd per step, and turn
+  each measured ratio into a scalar once, by gauss_quotient; the
+  gaussian module factors them.
 * float  -- plain binary64 ``complex``; used for dilogarithm volumes and
   the Newton solver.
 
@@ -86,7 +89,9 @@ class GaussRational:
     # other through _coerce; each result ends in one gcd (_reduced), a
     # quotient's in gauss_quotient.  An int (not a bool) added or
     # subtracted keeps the result in lowest terms, gcd(a + n*d, b, d) =
-    # gcd(a, b, d) = 1, so it needs neither.
+    # gcd(a, b, d) = 1, so it needs neither.  x + n, x - n, n - x and
+    # n / x take an int without _coerce; a product takes it through
+    # _coerce and the generic formula.
 
     def __add__(self, other):
         if type(other) is int:
@@ -117,8 +122,6 @@ class GaussRational:
         return other + -self
 
     def __mul__(self, other):
-        if type(other) is int:
-            return _reduced(self._a * other, self._b * other, self._d)
         if not isinstance(other, GaussRational):
             other = _coerce(other)
             if other is None:
@@ -250,13 +253,31 @@ def _reduced(a, b, d):
 def gauss_quotient(num, den) -> GaussRational:
     """The GaussRational num/den of two Gaussian integers, (a, b) int
     pairs, den nonzero: num times the conjugate of den over its norm,
-    reduced once."""
+    reduced once.  The reduced triple is the one representation of the
+    value, so a real divisor needs no formula of its own."""
     (a, b), (c, d) = num, den
-    if d == 0:  # a real divisor needs no norm
-        if c == 0:
-            raise ZeroDivisionError("division by zero")
-        return _reduced(-a, -b, -c) if c < 0 else _reduced(a, b, c)
-    return _reduced(a * c + b * d, b * c - a * d, c * c + d * d)
+    n = c * c + d * d
+    if not n:
+        raise ZeroDivisionError("division by zero")
+    return _reduced(a * c + b * d, b * c - a * d, n)
+
+
+# -- Gaussian integers, (a, b) int pairs -------------------------------------
+
+def gi_mul(x, y):
+    """The product of two Gaussian integers."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def gi_norm(x):
+    """The norm a^2 + b^2 of a Gaussian integer (a, b)."""
+    return x[0] * x[0] + x[1] * x[1]
+
+
+def format_gauss_int(x) -> str:
+    """A Gaussian integer (a, b) as text: "(a+bi)" or "(a-bi)"."""
+    a, b = x
+    return f"({a}{'+' if b >= 0 else '-'}{abs(b)}i)"
 
 
 # -- backend dispatch --------------------------------------------------------
@@ -321,11 +342,18 @@ def normalize_values(values, what="scalars"):
 # [re, im].  Every file format in the package shares this encoding.
 
 def format_exact(x: GaussRational) -> str:
-    re_s = str(x.re)
-    if x.im == 0:
-        return re_s
-    sign = "+" if x.im > 0 else "-"
-    return f"{re_s}{sign}{abs(x.im)}*i"
+    """The text of an exact scalar.  A part past int's digit limit, which
+    str() refuses and parse_exact would refuse to read back, raises
+    Unsupported."""
+    try:
+        re_s = str(x.re)
+        if x.im == 0:
+            return re_s
+        sign = "+" if x.im > 0 else "-"
+        return f"{re_s}{sign}{abs(x.im)}*i"
+    except ValueError:  # the digit limit
+        raise Unsupported("cannot write an exact part of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
 
 
 # [±]a[/b], [±]a[/b]±[c[/d][*]]i or [±][c[/d][*]]i: a space may stand
@@ -344,14 +372,18 @@ def clip(text: str) -> str:
 
 
 def describe(x) -> str:
-    """A scalar as error messages show it: str(x); an exact value with a
-    part past int's digit limit, which str() refuses, as 12 significant
-    digits of each part instead, clipped (see clip)."""
-    try:
+    """A scalar as error messages show it: a float one by str(x), an exact
+    one as format_exact writes it; one with a part past int's digit
+    limit, which format_exact refuses, as 12 significant digits of each
+    part instead, clipped (see clip)."""
+    if not is_exact(x):
         return str(x)
-    except ValueError:  # the digit limit; decimal converts with none
+    x = exactify(x)
+    try:
+        return format_exact(x)
+    except Unsupported:  # the digit limit; decimal converts with none
         from decimal import Context, Decimal  # loaded with fractions
-        a, b, d = exactify(x).integer_parts()
+        a, b, d = x.integer_parts()
         re, im = (Context(prec=12).divide(Decimal(n), Decimal(d))
                   for n in (a, b))
         return clip(f"~{re}" + (f"{'-' if b < 0 else '+'}{abs(im)}*i"
@@ -374,19 +406,9 @@ def parse_exact(s: str) -> GaussRational:
                          f"{sys.get_int_max_str_digits()} digits") from exc
 
 
-def digit_limit_error() -> Unsupported:
-    """The error for writing an exact part past int's digit limit, which
-    str() refuses and parse_exact would refuse to read back."""
-    return Unsupported("cannot write an exact part of more than "
-                       f"{sys.get_int_max_str_digits()} digits")
-
-
 def scalar_to_json(x):
     if is_exact(x):
-        try:
-            return format_exact(exactify(x))
-        except ValueError:  # the digit limit
-            raise digit_limit_error() from None
+        return format_exact(exactify(x))
     z = complex(x)
     return [z.real, z.imag]
 

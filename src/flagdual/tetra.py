@@ -31,10 +31,9 @@ from typing import NamedTuple
 
 from .errors import DegenerateInput, NotVeryGeneric, OutOfDomain
 from .flags import Flag, FlagTuple, cross_pairings, measurements
-from .gaussian import gi_mul
 from .prebloch import FormalSum, sum_D
-from .scalars import (GaussRational, check_domain, gauss_quotient, is_exact,
-                      nearly_equal, normalize_values)
+from .scalars import (GaussRational, check_domain, gauss_quotient, gi_mul,
+                      is_exact, nearly_equal, normalize_values)
 from .tolerances import VALIDATION_TOL, VERY_GENERIC_TOL
 
 VERTICES = (1, 2, 3, 4)

@@ -14,9 +14,9 @@ from flagdual import (DecoratedComplex, Decoration, FlagTuple, GaussRational,
                       Mat3, ProjPoint1, bundled, complete_from_minimal,
                       dump_complex, reconstruct, very_generic)
 from flagdual.complexes import FacePairing, IdealTriangulation
-from flagdual.gaussian import exponent_vector, gi_mul, prime_key
+from flagdual.gaussian import exponent_vector, prime_key
 from flagdual.projective import det3, negligible, vcross
-from flagdual.scalars import is_exact
+from flagdual.scalars import gi_mul, is_exact
 
 
 # -- reference Gaussian rationals -----------------------------------------------

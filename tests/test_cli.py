@@ -4,15 +4,20 @@ import cmath
 import json
 import random
 import re
+import runpy
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flagdual import (DecoratedComplex, Decoration, FormalSum, GaussRational,
-                      IdealTriangulation, ProjPoint1, complete_from_minimal,
-                      dual_coords_matrix, dump_complex, load_complex,
-                      read_complex, reconstruct, write_complex)
+from flagdual import (DecoratedComplex, Decoration, Flag, FlagTuple,
+                      FormalSum, GaussRational, IdealTriangulation, Mat3,
+                      ProjPoint1, TetraCoords, complete_from_minimal,
+                      dual_coords_matrix, dump_complex, edge_coords,
+                      load_complex, normalize_prime, normalize_to_standard,
+                      read_complex, reconstruct, restrict_to_p1,
+                      write_complex)
 from flagdual.bundled import (cr_complex, figure_eight_complex,
                               single_tetra_triangulation,
                               twisted_double_complex,
@@ -20,6 +25,9 @@ from flagdual.bundled import (cr_complex, figure_eight_complex,
 from flagdual.cli import main
 from flagdual import cli, errors
 from flagdual.errors import FlagdualError, ParseError
+from flagdual.projective import vcross
+from flagdual.scalars import exactify
+from flagdual.tetra import face_class
 
 from helpers import (EXACT_MINIMAL, FLOAT_MINIMAL, flagged_double,
                      fuzz_documents, mutate_json)
@@ -575,6 +583,21 @@ def _flagged_double_with_huge_faces():
     return json.dumps(dump_complex(dc, keep_flags=True)).encode()
 
 
+def _tetrahedron_with_huge_edges():
+    """One tetrahedron of seeded real flags with 900-digit entries: they
+    load, but its edge coordinates have more than 4,300 digits."""
+    rng = random.Random(5)
+
+    def flag():
+        x, r = ([GaussRational(rng.randrange(10 ** 899, 10 ** 900))
+                 for _ in range(3)] for _ in range(2))
+        return Flag(x, vcross(x, r))
+
+    dc = DecoratedComplex(single_tetra_triangulation(), Decoration.from_flags(
+        [FlagTuple([flag() for _ in range(4)])]))
+    return json.dumps(dump_complex(dc, keep_flags=True)).encode()
+
+
 def _double_with_edge_12(literal):
     doc = dump_complex(twisted_double_complex())
     doc["decoration"]["data"][0]["edges"]["12"] = literal
@@ -590,8 +613,10 @@ CLI_INPUTS = {
     "deep": lambda: b"[" * 100_000 + b"]" * 100_000,
     "long_dual": _double_dual_beyond_the_digit_limit,
     "huge_faces": _flagged_double_with_huge_faces,
+    "huge_edges": _tetrahedron_with_huge_edges,
 }
 _CANNOT_READ = r"^error: cannot read \S+\.json: [^\n]+\n$"
+_DIGIT_LIMIT = r"^error: cannot write an exact part of more than \d+ digits\n$"
 
 # name -> (argv, exit code, stdout and stderr patterns); {tmp} is the
 # test's directory
@@ -642,7 +667,35 @@ CLI_PATHS = {
     "defect-json-beyond-the-digit-limit": (
         ["defect", "{huge_faces}", "--json"], 2, r"^$",
         r"^error: cannot write an exact part of more than \d+ digits\n$"),
+    **{f"{verb}-{mode}-beyond-the-digit-limit": (
+        [verb, "{huge_faces}", *flag], 2, r"^$", _DIGIT_LIMIT)
+       for verb in ("coords", "conjugate", "dualize")
+       for mode, flag in (("text", []), ("json", ["--json"]))},
+    # the minimal edges, all that beta writes, are within the limit
+    "beta-text-faces-beyond-the-digit-limit": (
+        ["beta", "{huge_faces}"], 0,
+        r"^beta\(K,z\) = \[1/2\d+.*\nVol = D/4 = \S+\n$", r"^$"),
+    "beta-json-faces-beyond-the-digit-limit": (
+        ["beta", "{huge_faces}", "--json"], 0,
+        r'^\{"beta": \[\{"coeff": 1, .*"volume": \S+\}\n$', r"^$"),
+    "beta-text-beyond-the-digit-limit": (
+        ["beta", "{huge_edges}"], 2, r"^$", _DIGIT_LIMIT),
+    "beta-json-beyond-the-digit-limit": (
+        ["beta", "{huge_edges}", "--json"], 2, r"^$", _DIGIT_LIMIT),
 }
+
+
+def test_module_entry_point_exits_with_the_verb_status(monkeypatch, capsys):
+    # python -m flagdual.cli, run in this process; the module is run
+    # afresh, as the interpreter would, and put back afterwards
+    monkeypatch.delitem(sys.modules, "flagdual.cli")
+    monkeypatch.setattr(sys, "argv", ["flagdual", "example", "hyperbolic",
+                                      "--param", "zz"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("flagdual.cli", run_name="__main__")
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == \
+        "error: cannot parse shape parameter 'zz'\n"
 
 
 @pytest.mark.parametrize("case", sorted(CLI_PATHS))
@@ -732,6 +785,38 @@ INPUT_CHECKS = {
     "zero-homogeneous-pair": ("call", lambda: ProjPoint1(0, 0),
                               errors.DegenerateInput,
                               "homogeneous pair (0, 0)"),
+    "float-exactified": ("call", lambda: exactify(1.5),
+                         errors.BackendMismatch, "not an exact scalar: 1.5"),
+    "flag-of-a-pair": ("call", lambda: Flag((1, 0), (0, 1, 0)), ValueError,
+                       "flag needs two triples"),
+    "three-points-to-the-frame": ("call", lambda: normalize_to_standard(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), errors.DegenerateInput,
+        "need exactly four points"),
+    "not-a-face": ("call", lambda: face_class(1, 1, 2), ValueError,
+                   "not a face triple: (1, 1, 2)"),
+    "eleven-edges": ("call", lambda: TetraCoords(
+        dict(list(complete_from_minimal((2, 3, 5, 7)).edge.items())[1:]),
+        {}), ValueError, "need exactly the 12 oriented edges"),
+    "three-flag-tetrahedron": ("call", lambda: edge_coords(
+        FlagTuple(reconstruct((2, 3, 5, 7))[:3])), errors.DegenerateInput,
+        "edge_coords needs exactly four flags"),
+    "matrix-of-2x2": ("call", lambda: Mat3([[1, 0], [0, 1]]), ValueError,
+                      "Mat3 needs 3x3 entries"),
+    "inverse-beyond-the-float-range": (
+        "call", lambda: Mat3([[1e-320, 0, 0], [0, 1, 0], [0, 0, 1]]).inverse(),
+        errors.SingularMatrix, "matrix inverse overflows"),
+    "one-point-on-a-line": ("call", lambda: restrict_to_p1([(1, 0, 0)]),
+                            errors.DegenerateInput,
+                            "need at least two points"),
+    "coincident-basis-points": ("call", lambda: restrict_to_p1(
+        [(1, 2, 3), (2, 4, 6)]), errors.DegenerateInput,
+        "basis points of the line coincide"),
+    "decoration-of-the-wrong-size": ("call", lambda: DecoratedComplex(
+        twisted_double_triangulation(),
+        Decoration([complete_from_minimal((2, 3, 5, 7))])), ValueError,
+        "decoration has 1 tetrahedra, triangulation has 2"),
+    "zero-gaussian-prime": ("call", lambda: normalize_prime((0, 0)),
+                            ValueError, "zero is not normalizable"),
 }
 
 

@@ -269,6 +269,18 @@ def test_w_round_trip_and_dual_swap():
         assert dual_minimal == tuple(d.minimal())
 
 
+def test_reprs_show_the_stored_values():
+    assert repr(Flag((1.0, 0, 0), (0, 1.0, 0))) == \
+        "Flag(point=((1+0j), 0j, 0j), line=(0j, (1+0j), 0j))"
+    assert repr(Mat3([[1.0, 2, 0], [0, 1, 0], [0, 0, 1]])) == \
+        "Mat3((((1+0j), (2+0j), 0j), (0j, (1+0j), 0j), (0j, 0j, (1+0j))))"
+    assert repr(ProjPoint1(2, 3)) == "[2 : 3]"
+    assert repr(complete_from_minimal((2.0, 3, 5, 7))) == \
+        "TetraCoords(z12=(2+0j), z21=(3+0j), z34=(5+0j), z43=(7+0j))"
+    assert repr(WCoords(dict.fromkeys(W_PAIRS, 2.0))) == \
+        "WCoords({" + ", ".join(f"{p}: (2+0j)" for p in W_PAIRS) + "})"
+
+
 def test_w_triple_ratio_formula():
     # each face coordinate is the reciprocal product of the w-values of
     # the face's own three edges: z_ijk = 1/(w_ij w_ik w_jk)

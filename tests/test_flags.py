@@ -169,9 +169,10 @@ def test_huge_broken_incidence_is_named():
 
 
 def test_huge_point_off_the_sphere_is_named():
-    with pytest.raises(NotOnSphere, match=re.escape(
-            "<x,x> = ~2.00000000000E+4400 != 0")):
-        cr_flag((BIG, 1, BIG))
+    for big in (BIG, 10 ** 2200 + 1):  # plain ints are exact too
+        with pytest.raises(NotOnSphere, match=re.escape(
+                "<x,x> = ~2.00000000000E+4400 != 0")):
+            cr_flag((big, 1, big))
 
 
 def _random_cr_tuple(rng):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from flagdual import GaussRational, factor_gauss_int, factor_gaussian
 from flagdual.errors import Unsupported
-from flagdual.gaussian import exponent_vector, gi_mul, gi_norm, \
-    normalize_prime
+from flagdual.gaussian import exponent_vector, normalize_prime
+from flagdual.scalars import gi_mul, gi_norm
 
 from helpers import STRUCTURED_PRIMES, rand_gauss_rational, \
     structured_product

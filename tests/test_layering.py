@@ -65,6 +65,23 @@ def test_no_function_repeats_an_import_of_its_module():
     assert not found
 
 
+def test_gaussian_integers_live_in_scalars_and_only_prebloch_factors():
+    # the factorization module, which loads sympy, stays a leaf: the
+    # geometric modules take Gaussian-integer arithmetic from scalars
+    importers, defined = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any("gaussian" in _package_modules(node)
+               for node in ast.walk(tree)):
+            importers.append(path.name)
+        defined += [f"{path.name}: {node.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name in
+                    ("gi_mul", "gi_norm", "format_gauss_int")]
+    assert importers == ["__init__.py", "prebloch.py"]
+    assert sorted(defined) == ["scalars.py: format_gauss_int",
+                               "scalars.py: gi_mul", "scalars.py: gi_norm"]
+
+
 # each third-party runtime dependency and the one module that imports it:
 # the gluing equations and check_* stay pure Python, and replacing sympy
 # touches one known site

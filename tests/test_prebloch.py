@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from flagdual import (FormalSum, GaussRational, beta_complex, bundled,
                       canonicalize_six, delta_exact, dilog_D, eval_D,
-                      five_term, gaussian, prebloch, six_orbit)
+                      five_term, gaussian, li2, prebloch, six_orbit)
 from flagdual.errors import BackendMismatch, OutOfDomain, Unsupported
 from flagdual.gaussian import factor_gaussian, prime_key
 from flagdual.prebloch import MERGE_TOL, _orbit_rep
@@ -105,6 +105,11 @@ def test_dilog_extends_by_zero():
     assert dilog_D(GaussRational(10 ** 400, 3 * 10 ** 400)) == 0.0
     assert dilog_D(10 ** 400) == 0.0
     assert dilog_D(Fraction(-10 ** 400, 7)) == 0.0
+
+
+def test_li2_at_zero_and_one():
+    assert li2(0) == 0j
+    assert li2(1) == complex(math.pi ** 2 / 6)
 
 
 def test_dilog_continuous_at_exceptional_points():
@@ -231,6 +236,15 @@ def test_formal_sum_merging_and_domain():
         with pytest.raises(BackendMismatch,
                            match="^mixed exact/float formal sum$"):
             FormalSum(pairs)
+
+
+def test_formal_sum_negation_and_integer_multiples():
+    s = FormalSum([(GaussRational(2), 3), (GaussRational(3), -1)])
+    assert (-s).terms == ((GaussRational(2), -3), (GaussRational(3), 1))
+    assert -s == s * -1 == -1 * s
+    with pytest.raises(TypeError, match="unsupported operand"):
+        s * 1.5
+    assert (s == 3) is False
 
 
 def test_formal_sum_float_merging():

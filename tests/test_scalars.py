@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagdual import GaussRational, format_exact, parse_exact, scalars
-from flagdual.errors import BackendMismatch, ParseError
+from flagdual.errors import BackendMismatch, ParseError, Unsupported
 from flagdual.scalars import (describe, gauss_quotient, is_exact,
                               nearly_equal, normalize_values,
                               scalar_from_json, scalar_to_json)
@@ -51,6 +51,18 @@ def test_mixed_backend_is_rejected_not_coerced():
         a / 0.25
     with pytest.raises(BackendMismatch):
         normalize_values([a, 1.0j])
+
+
+def test_foreign_operands_are_left_to_python():
+    # each operator returns NotImplemented for a type it does not know,
+    # so Python raises its TypeError; == falls back to identity
+    x, foreign = GaussRational(1, 2), object()
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for args in ((x, foreign), (foreign, x)):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(*args)
+    assert (x == "x") is False
+    assert +x is x
 
 
 def test_zero_division_raises():
@@ -269,7 +281,6 @@ def test_spaces_matter_only_between_digits(x, data):
 # the operations with an int fast path, as (operator, int on the left)
 _INT_FAST = [(operator.add, False), (operator.add, True),
              (operator.sub, False), (operator.sub, True),
-             (operator.mul, False), (operator.mul, True),
              (operator.truediv, True)]
 
 
@@ -311,8 +322,10 @@ def test_describe_clips_values_past_the_digit_limit():
     assert describe(GaussRational(Fraction(1, 2), -3)) == "1/2-3*i"
     assert describe(0.5 - 1j) == "(0.5-1j)"
     big = GaussRational(10 ** 2200 + 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(Unsupported, match=r"^cannot write an exact part of "
+                       r"more than \d+ digits$"):
         str(big * big)  # int's digit limit
     assert describe(big * big) == "~1.00000000000E+4400"
+    assert describe((10 ** 2200 + 1) ** 2) == "~1.00000000000E+4400"
     assert describe(GaussRational(Fraction(-2, 3) * 10 ** 4400, 5)) == \
         "~-6.66666666667E+4399+5*i"

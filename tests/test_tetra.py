@@ -329,6 +329,15 @@ def test_each_edge_is_domain_checked_once(monkeypatch):
         assert names == expected
 
 
+def test_same_as_tells_coordinates_apart():
+    a = complete_from_minimal((2, 3, 5, 7))
+    assert a.same_as(a)
+    assert not a.same_as(complete_from_minimal((2, 3, 5, 11)))
+    f, g = (complete_from_minimal((2.0, 3, 5, z)) for z in (7, 7 + 1e-6))
+    assert f.same_as(g, tol=1e-6)
+    assert not f.same_as(g, tol=1e-9)
+
+
 def test_derived_coordinates_keep_the_stored_order():
     rng = random.Random(59)
     t, c = rand_exact_flag_tetra(rng)
