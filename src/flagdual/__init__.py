@@ -4,8 +4,8 @@ with its Bloch-Wigner dilogarithm volume."""
 
 from .errors import (BackendMismatch, DegenerateInput, FlagdualError,
                      LeftDomain, MalformedPairing, NotOnSphere,
-                     NotVeryGeneric, OutOfDomain, ParseError, SingularMatrix,
-                     SolverDiverged, Unsupported, WSingular)
+                     NotVeryGeneric, OutOfDomain, ParseError, SolverDiverged,
+                     Unsupported, WSingular)
 from .scalars import (GaussRational, format_exact, parse_exact,
                       scalar_from_json, scalar_to_json)
 from .gaussian import (GaussianFactorization, exponent_vector,

@@ -25,10 +25,6 @@ class DegenerateInput(FlagdualError, ValueError):
     """Coincident points, vanishing pairings or collinear triples."""
 
 
-class SingularMatrix(FlagdualError, ZeroDivisionError):
-    """3x3 matrix with zero determinant passed where invertible required."""
-
-
 class Unsupported(FlagdualError, TypeError):
     """The operation does not support these values (backend or size)."""
 

@@ -10,11 +10,13 @@ null sphere of the Hermitian form J (spherical CR tetrahedra).
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 
 from .errors import DegenerateInput, NotOnSphere
 from .projective import (Mat3, ProjPoint1, balanced, det3, gi_det3, gi_vcross,
-                         gi_vdot, integral, integral_rows, negligible, vdot)
+                         gi_vdot, integral, integral_rows, negligible, vcross,
+                         vdot)
 from .scalars import (GaussRational, describe, exactify, gi_mul, is_exact,
                       normalize_values)
 
@@ -89,19 +91,28 @@ class FlagTuple:
         return FlagTuple([f.dual() for f in self.flags])
 
     def transformed(self, m: Mat3) -> "FlagTuple":
-        """Apply a projectivity: points by m, covectors by (m^T)^-1.  On
-        exact flags the covectors go by its multiple adj(m^T), whose rows
-        are the cross products of the rows of m: no division, and the
-        image flags are incident by construction, (adj(m^T) f)(m x) =
-        det(m) f(x) = 0, so their incidence is not recomputed."""
-        if not (is_exact(m.rows[0][0]) and is_exact(self.flags[0].point[0])):
-            minv_t = m.inverse().transpose()
-            return FlagTuple([Flag(m.apply(f.point), minv_t.apply(f.line))
+        """Apply a projectivity: points by m, covectors by adj(m^T), the
+        multiple det(m) (m^T)^-1 whose rows are the cross products of the
+        rows of m, so no entry needs a division.  Both run on one
+        representative of m: its rows over their common denominator on
+        exact flags (integral_rows), all nine entries balanced by one
+        power of two on float ones (balanced).  The exact images are
+        incident by construction, (adj(m^T) f)(m x) = det(m) f(x) = 0, so
+        their incidence is not recomputed; the float ones are checked."""
+        exact = is_exact(m.rows[0][0]) and is_exact(self.flags[0].point[0])
+        if exact:
+            rows, cross = integral_rows(m), gi_vcross
+        else:
+            flat = balanced(m.rows[0] + m.rows[1] + m.rows[2])[0]
+            rows, cross = (flat[0:3], flat[3:6], flat[6:9]), vcross
+        r1, r2, r3 = rows
+        adj = (cross(r2, r3), cross(r3, r1), cross(r1, r2))
+        if exact:
+            return FlagTuple([Flag._incident(_image(rows, integral(f.point)),
+                                             _image(adj, integral(f.line)))
                               for f in self.flags])
-        r1, r2, r3 = rows = integral_rows(m)
-        adj = (gi_vcross(r2, r3), gi_vcross(r3, r1), gi_vcross(r1, r2))
-        return FlagTuple([Flag._incident(_image(rows, integral(f.point)),
-                                         _image(adj, integral(f.line)))
+        return FlagTuple([Flag(tuple(vdot(r, f.point) for r in rows),
+                               tuple(vdot(r, f.line) for r in adj))
                           for f in self.flags])
 
 
@@ -191,10 +202,11 @@ def normalize_to_standard(t) -> Mat3:
     Accepts a FlagTuple or a plain list of four point triples and returns
     the matrix, unique up to scale, carrying them to [1,0,0], [0,1,0],
     [0,0,1], [1,1,1] in order.  With p4 = l1*p1 + l2*p2 + l3*p3 and M the
-    matrix of columns l_i*p_i, that is M^-1, of the balanced points on
-    floats (see balanced); on exact points it is adj(M) = det(M) M^-1 of
-    their integral representatives, with l_i the Cramer numerators (the
-    common denominator is a scale), so no entry needs a division.
+    matrix of columns l_i*p_i, that is adj(M) = det(M) M^-1, on both
+    backends: of the integral representatives of exact points and of the
+    balanced ones of float points (see _kernel), with l_i the Cramer
+    numerators (the common denominator is a scale), so no entry needs a
+    division.
     """
     pts = t.points() if isinstance(t, FlagTuple) else [tuple(p) for p in t]
     if len(pts) != 4:
@@ -213,14 +225,14 @@ def normalize_to_standard(t) -> Mat3:
             raise DegenerateInput(
                 f"fourth point is collinear with two others (lambda{idx + 1} = 0)")
         numerators.append(n)
-    if det is gi_det3:
-        # adj(M) has the rows c2 x c3, c3 x c1, c1 x c2 of the columns of M
-        c1, c2, c3 = ([gi_mul(n, c) for c in p]
-                      for n, p in zip(numerators, pts))
-        adj = (gi_vcross(c2, c3), gi_vcross(c3, c1), gi_vcross(c1, c2))
+    exact = det is gi_det3
+    mul, cross = (gi_mul, gi_vcross) if exact else (operator.mul, vcross)
+    # adj(M) has the rows c2 x c3, c3 x c1, c1 x c2 of the columns of M
+    c1, c2, c3 = ([mul(n, c) for c in p] for n, p in zip(numerators, pts))
+    adj = (cross(c2, c3), cross(c3, c1), cross(c1, c2))
+    if exact:
         return Mat3([[GaussRational(*z) for z in row] for row in adj])
-    return Mat3.from_columns(*(tuple(n / d * c for c in p) for n, p in
-                               zip(numerators, pts))).inverse()
+    return Mat3(adj)
 
 
 def hyperbolic_flag(p: ProjPoint1) -> Flag:

@@ -10,10 +10,10 @@ of the operands the value is multilinear in, so that rescaling a
 homogeneous representative never changes the answer.
 
 A homogeneous representative is free to rescale, and each backend picks
-the one its kernels compute on: a float point or line is balanced by a
-power of two (balanced); an exact one is cleared of its denominators
-and of its integer content (integral), and an exact matrix of its
-denominators (integral_rows).  The exact kernels gi_vdot, gi_vcross and
+the one its kernels compute on: a float point, line or matrix is
+balanced by a power of two (balanced); an exact one is cleared of its
+denominators and of its integer content (integral), and an exact matrix
+of its denominators (integral_rows).  The exact kernels gi_vdot, gi_vcross and
 gi_det3 then run on Gaussian integers, (a, b) int pairs, with no gcd at
 all; a zero test there is a comparison with (0, 0).
 """
@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DegenerateInput, SingularMatrix
+from .errors import DegenerateInput
 from .scalars import exactify, gi_mul, is_exact, normalize_values
 from .tolerances import DEGENERACY_TOL
 
@@ -60,11 +60,8 @@ def balanced(values):
     if all(map(is_exact, values)):
         return tuple(values), 0
     e = -math.frexp(max(max(abs(c.real), abs(c.imag)) for c in values))[1]
-    return tuple(_ldexp(c, e) for c in values), e
-
-
-def _ldexp(c: complex, e: int) -> complex:
-    return complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
+    return tuple(complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
+                 for c in values), e
 
 
 def _minor(p, q):
@@ -184,7 +181,7 @@ def gi_det3(c1, c2, c3):
 
 
 class Mat3:
-    """An exactly-invertible-when-it-should-be 3x3 matrix of scalars."""
+    """A 3x3 matrix of scalars in one backend: a projectivity of CP^2."""
 
     __slots__ = ("rows",)
 
@@ -196,43 +193,8 @@ class Mat3:
                                 "matrix entries")
         self.rows = (flat[0:3], flat[3:6], flat[6:9])
 
-    @classmethod
-    def from_columns(cls, c1, c2, c3):
-        return cls(tuple(zip(c1, c2, c3)))
-
-    def columns(self):
-        return tuple(zip(*self.rows))
-
-    def transpose(self) -> "Mat3":
-        return Mat3(self.columns())
-
     def apply(self, v):
         return tuple(vdot(r, v) for r in self.rows)
-
-    def __matmul__(self, other: "Mat3") -> "Mat3":
-        cols = other.columns()
-        return Mat3.from_columns(*(self.apply(c) for c in cols))
-
-    def inverse(self) -> "Mat3":
-        # the balanced rows form D M, D diagonal of powers of two 2^e_i,
-        # and M^-1 = (D M)^-1 D: column i comes back multiplied by 2^e_i
-        r, exps = zip(*map(balanced, self.rows))
-        d = det3(*zip(*r))
-        if negligible(d, *r):
-            raise SingularMatrix("matrix determinant is zero")
-        cof = [[0] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                a = r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
-                b = r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3]
-                cof[j][i] = (a - b) / d  # transpose of the cofactor matrix
-        if any(exps):
-            try:
-                cof = [[_ldexp(c, e) for c, e in zip(row, exps)]
-                       for row in cof]
-            except OverflowError:
-                raise SingularMatrix("matrix inverse overflows") from None
-        return Mat3(cof)
 
     def __repr__(self):
         return f"Mat3({self.rows!r})"

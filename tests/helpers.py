@@ -129,10 +129,7 @@ def rand_exact_tetra(rng, span=9):
     """(minimal, coords) for a random very generic exact tetrahedron."""
     while True:
         m = rand_exact_minimal(rng, span)
-        try:
-            c = complete_from_minimal(m)
-        except Exception:
-            continue
+        c = complete_from_minimal(m)  # no value is in {0, 1}
         if very_generic(c):
             return m, c
 
@@ -154,10 +151,7 @@ def rand_float_tetra(rng, margin=1e-3):
     """Random very generic float TetraCoords (faces away from -1)."""
     while True:
         m = tuple(rand_float_scalar(rng) for _ in range(4))
-        try:
-            c = complete_from_minimal(m)
-        except Exception:
-            continue
+        c = complete_from_minimal(m)  # no value is near 0 or 1
         if all(abs(complex(v) + 1) > margin for v in c.face.values()):
             return c
 
@@ -179,12 +173,8 @@ def rand_pgl3_exact(rng, span=4):
     while True:
         rows = [[rand_gauss_rational(rng, span) for _ in range(3)]
                 for _ in range(3)]
-        m = Mat3(rows)
-        try:
-            if det3(*m.columns()) != 0:
-                return m
-        except Exception:
-            continue
+        if det3(*zip(*rows)) != 0:
+            return Mat3(rows)
 
 
 def rand_p1_points_exact(rng, count, span=9):

@@ -67,7 +67,7 @@ _SCALE = st.builds(GaussRational, _SCALE_PART, _SCALE_PART).filter(bool)
 def test_measurements_ignore_the_representatives(m, entries, scales):
     c = _very_generic_coords(m)
     g = Mat3([entries[0:3], entries[3:6], entries[6:9]])
-    assume(det3(*g.columns()) != 0)
+    assume(det3(*zip(*g.rows)) != 0)
     t = reconstruct(m).transformed(g)
     scaled = FlagTuple([Flag(tuple(s * x for x in f.point),
                              tuple(r * u for u in f.line))

@@ -16,6 +16,8 @@ from flagdual import (Flag, FlagTuple, GaussRational, Mat3, ProjPoint1,
                       veronese_tetrahedron)
 from flagdual.errors import DegenerateInput, NotOnSphere
 from flagdual.projective import vdot
+from flagdual.scalars import nearly_equal
+from flagdual.tolerances import VALIDATION_TOL
 
 from helpers import (EXACT_MINIMAL, SMALL_GAUSS, proportional,
                      rand_exact_flag_tetra, rand_exact_tetra,
@@ -122,6 +124,45 @@ def test_pgl3_invariance_of_edge_coords():
         t, c = rand_exact_flag_tetra(rng)
         g = rand_pgl3_exact(rng)
         assert edge_coords(t.transformed(g)).same_as(c)
+
+
+def _as_complex(values):
+    return tuple(complex(v) for v in values)
+
+
+def _close_to_exact(measured, exact):
+    """Float coordinates within VALIDATION_TOL of exact ones, value by
+    value."""
+    return all(nearly_equal(a, complex(b), VALIDATION_TOL) for a, b in zip(
+        (*measured.edge.values(), *measured.face.values()),
+        (*exact.edge.values(), *exact.face.values())))
+
+
+def test_float_projectivities_match_the_exact_route_at_any_scale():
+    # the same exact flags and matrix, cast to complex: float transformed
+    # and normalize_to_standard give the projectivities of the exact
+    # route, and transformed takes the matrix at any global scale
+    rng = random.Random(46)
+    for _ in range(20):
+        t, c = rand_exact_flag_tetra(rng)
+        g = rand_pgl3_exact(rng)
+        tf = FlagTuple([Flag(_as_complex(f.point), _as_complex(f.line))
+                        for f in t])
+        gf = [_as_complex(r) for r in g.rows]
+        for f, ff in zip(t.transformed(g), tf.transformed(Mat3(gf))):
+            assert proportional(ff.point, _as_complex(f.point))
+            assert proportional(ff.line, _as_complex(f.line))
+        for s in (1.0, 2.0 ** 600, 2.0 ** -600):
+            image = tf.transformed(Mat3([[s * e for e in r] for r in gf]))
+            assert edge_coords(image).same_as(edge_coords(tf), VALIDATION_TOL)
+            assert _close_to_exact(edge_coords(image), c)
+        # the two matrices are proportional, as 9-vectors
+        m = [complex(e) for r in normalize_to_standard(t).rows for e in r]
+        mf = [e for r in normalize_to_standard(tf).rows for e in r]
+        k = max(range(9), key=lambda i: abs(m[i]))
+        assert all(abs(a * m[k] - mf[k] * b) <= 1e-12 * abs(mf[k] * m[k])
+                   for a, b in zip(mf, m))
+        assert _close_to_exact(dual_coords_matrix(tf), dual_coords_matrix(t))
 
 
 def test_hyperbolic_flag_incidence_and_coords():

@@ -401,7 +401,7 @@ def _generic_tuple(m, entries=None):
         t = reconstruct(m)
         if entries is not None:
             g = Mat3([entries[0:3], entries[3:6], entries[6:9]])
-            assume(det3(*g.columns()) != 0)
+            assume(det3(*zip(*g.rows)) != 0)
             t = t.transformed(g)
         return t, edge_coords(t)
     except FlagdualError:
